@@ -7,10 +7,11 @@ renormalized so each of the three subset-size classes carries total weight
 one third.
 
 Loss differences are estimated in the tree-split form: only trees that
-split on k (the set tau_k) change between S and S-union-{k}, so their
-conditional expectations are evaluated twice while the remaining trees
-contribute a shared term. The reduced form is algebraically identical to
-the naive difference of mean losses and is verified against it in tests.
+split on k (the set tau_k) change between S and S-union-{k}, so the margin
+gap d^S is summed over tau_k alone and each loss difference is a weighted
+mean of d^S against the margin given S. The reduced form is algebraically
+identical to the naive difference of mean losses and is verified against
+it in tests.
 
 All estimates support row weights, which serve bootstrap replicates
 (weights = multiplicity counts) and jackknife (one weight zeroed) without
@@ -21,16 +22,14 @@ divided by the effective sample size either way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
-from .tree_model import ROOT_ID, Ensemble, Tree
+from .tree_model import ROOT_ID, Ensemble, Tree, predict_margin_batch, trees_containing
 
 __all__ = [
     "LossKind",
@@ -75,36 +74,25 @@ class SubSageEstimate:
     n_test: int
 
 
-def _subset_weight(subset_size: int, m: int) -> float:
-    # Exact rational, rounded once; factorials overflow float64 for m > ~34.
-    frac = Fraction(
-        math.factorial(subset_size) * math.factorial(m - subset_size - 1),
-        3 * math.factorial(m - 1),
-    )
-    return float(frac)
-
-
 def build_subset_family(m: int, k: int) -> SubsetFamily:
     """Q_k for feature k in an m-feature space.
 
     Requires m >= 3: with fewer features the all-but-k subset collapses
-    onto a singleton and the three size classes degenerate.
+    onto a singleton and the three size classes degenerate. The Shapley
+    weights |S|! (m-|S|-1)! / (3 (m-1)!) reduce to 1/3 for the empty and
+    the all-but-k subsets and to 1/(3(m-1)) for each singleton.
     """
     if m < 3:
         raise InputError(f"subset family needs at least 3 features, got {m}")
     if k < 0 or k >= m:
         raise InputError(f"feature index {k} out of range for m={m}")
     others = [j for j in range(m) if j != k]
-    subsets: list[frozenset[int]] = [frozenset()]
-    weights: list[float] = [_subset_weight(0, m)]
-    w_single = _subset_weight(1, m)
-    for j in others:
-        subsets.append(frozenset((j,)))
-        weights.append(w_single)
-    subsets.append(frozenset(others))
-    weights.append(_subset_weight(m - 1, m))
+    single = 1.0 / (3 * (m - 1))
     return SubsetFamily(
-        feature=k, n_features=m, subsets=tuple(subsets), weights=tuple(weights)
+        feature=k,
+        n_features=m,
+        subsets=(frozenset(), *(frozenset((j,)) for j in others), frozenset(others)),
+        weights=(1.0 / 3, *(single for _ in others), 1.0 / 3),
     )
 
 
@@ -112,87 +100,54 @@ def build_subset_family(m: int, k: int) -> SubsetFamily:
 # Evaluation engine
 # ---------------------------------------------------------------------------
 
-
-class _ClassEval:
-    """Per-(tree, known-feature-class) leaf decomposition.
-
-    For a fixed class of known in-tree features, the conditional expectation
-    of one tree over all rows is a sum over leaves of
-        leaf_value * (product of indicator columns for known path nodes)
-                   * (product of branch probabilities for unknown path nodes).
-    The indicator products are row vectors fixed at build time; the
-    probability products are recomputed per probability assignment, so a
-    bootstrap draw only pays for small coefficient products and one matvec.
-    """
-
-    __slots__ = ("scalar_leaves", "mask_matrix", "masked_leaves")
-
-    def __init__(self, leaf_paths, known, indicators):
-        scalar_leaves = []
-        masked = []
-        for value, path in leaf_paths:
-            p_factors = tuple(
-                (thr, left) for thr, feat, left in path if feat not in known
-            )
-            mask_nodes = [(thr, left) for thr, feat, left in path if feat in known]
-            if not mask_nodes:
-                scalar_leaves.append((value, p_factors))
-                continue
-            mask = None
-            for thr, left in mask_nodes:
-                col = indicators[thr] if left else 1.0 - indicators[thr]
-                mask = col if mask is None else mask * col
-            masked.append((value, p_factors, mask))
-        self.scalar_leaves = tuple(scalar_leaves)
-        if masked:
-            self.mask_matrix = np.column_stack([m for _, _, m in masked])
-            self.masked_leaves = tuple((v, f) for v, f, _ in masked)
-        else:
-            self.mask_matrix = None
-            self.masked_leaves = ()
-
-    @staticmethod
-    def _coeff(value, factors, p, q):
-        c = value
-        for thr, left in factors:
-            c = c * (p[thr] if left else q[thr])
-        return c
-
-    def evaluate(self, p, q):
-        s = 0.0
-        for value, factors in self.scalar_leaves:
-            s += self._coeff(value, factors, p, q)
-        if self.mask_matrix is None:
-            return s, None
-        coeffs = np.array(
-            [self._coeff(v, f, p, q) for v, f in self.masked_leaves]
-        )
-        return s, self.mask_matrix @ coeffs
+# Trees that split on k share one rest table while the product of their
+# per-feature cut counts stays at or below this: each shared table saves a
+# gather over every row, while its cells multiply the table's size.
+_REST_CELLS = 256
 
 
-def _leaf_paths(tree: Tree, thr_of_node: dict[int, int]):
-    """(leaf_value, ((thr_index, feature, went_left), ...)) per leaf."""
-    paths = []
-
-    def walk(nid, acc):
+def _path_arrays(tree: Tree, thr_of, depth: int, rank: np.ndarray):
+    """Leaf values; root-to-leaf paths as (leaves, depth) arrays of the
+    threshold id (-1 past the leaf), split feature and direction of each
+    step; and per split feature the grid cells [lo, hi) of each leaf's box,
+    where threshold id t has grid rank ``rank[t]``. The walk is iterative,
+    left subtree first."""
+    leaves = []
+    stack = [(ROOT_ID, ())]
+    while stack:
+        nid, path = stack.pop()
         node = tree.node(nid)
         if node.is_leaf:
-            paths.append((node.leaf_value, tuple(acc)))
-            return
-        thr = thr_of_node[nid]
-        walk(node.left, acc + [(thr, node.feature, True)])
-        walk(node.right, acc + [(thr, node.feature, False)])
-
-    walk(ROOT_ID, [])
-    return tuple(paths)
+            leaves.append((node.leaf_value, path))
+            continue
+        tid = thr_of(node)
+        stack.append((node.right, path + ((tid, node.feature, False),)))
+        stack.append((node.left, path + ((tid, node.feature, True),)))
+    shape = (len(leaves), depth)
+    tid, feat, left = np.full(shape, -1), np.full(shape, -1), np.zeros(shape, bool)
+    for i, (_, path) in enumerate(leaves):
+        for d, step in enumerate(path):
+            tid[i, d], feat[i, d], left[i, d] = step
+    above = rank[tid] + 1
+    box = {
+        f: (np.where((feat == f) & ~left, above, 0).max(axis=1),
+            np.where((feat == f) & left, above, len(rank) + 1).min(axis=1))
+        for f in tree.feature_set
+    }
+    return np.array([v for v, _ in leaves]), tid, feat, left, box
 
 
 class SubSageEngine:
     """Shared state for estimating one feature's sub-SAGE on one dataset.
 
-    Built once per (annotated ensemble, data, feature); every subsequent
-    weighted estimate reuses the branch indicator table and the per-class
-    leaf decompositions.
+    A cell space is a set of split thresholds; rows in one of its cells
+    fall on the same side of each, so they share every conditional
+    expectation that tests only those thresholds. Each row keeps a small-int
+    cell id in a few spaces: each used feature's threshold grid, one pair
+    space (k, m) per feature m sharing a tree with k, and the spaces of the
+    trees that split on k. A draw turns its branch probabilities into one
+    small table per space and gathers the per-subset vectors from them, so
+    memory is O(rows x spaces) ints plus O(rows x subsets) floats per draw.
     """
 
     def __init__(self, ensemble: Ensemble, data: Dataset, k: int, loss: LossKind):
@@ -219,53 +174,172 @@ class SubSageEngine:
         if loss is LossKind.BINARY_CROSS_ENTROPY and not np.isin(self.y, (0.0, 1.0)).all():
             raise InputError("binary cross-entropy requires responses in {0, 1}")
         self.family = build_subset_family(ensemble.n_features, k)
+        trees = ensemble.trees
+        self.used_features = frozenset(f for tree in trees for f in tree.feature_set)
+        # Features whose singleton has its own delta: those some tree uses.
+        self._singles = sorted(self.used_features - {k})
+        if k not in self.used_features:
+            return  # no tree splits on k: every estimate is exactly zero
+        s = len(self._singles)
+        self._rest_row = s + 1 if s > 1 else s
+        tau, _ = trees_containing(ensemble, k)
+        with_m = {m: [t for t in tau if m in trees[t].feature_set] for m in self._singles}
+        # Singletons of features sharing a tree with k first: their d^{m}
+        # differs from d^{} by a correction over those trees.
+        self._singles.sort(key=lambda m: not with_m[m])
+        self._n_pairs = sum(map(bool, with_m.values()))
 
-        # Distinct (feature, threshold) table with strict-below indicators.
-        thr_index: dict[tuple[int, float], int] = {}
-        p0: list[float] = []
-        ind_cols: list[np.ndarray] = []
-        self._thr_of_node: list[dict[int, int]] = []
-        for tree in ensemble.trees:
-            node_map = {}
+        # Distinct (feature, threshold) pairs grouped by feature, k first,
+        # sorted by threshold; p0 keeps the first such node's annotation.
+        first_p: dict[tuple[int, float], float] = {}
+        for tree in trees:
             for node in tree.branch_nodes():
-                key = (node.feature, node.threshold)
-                if key not in thr_index:
-                    thr_index[key] = len(thr_index)
-                    ind_cols.append(
-                        (data.column(node.feature) < node.threshold).astype(np.float64)
-                    )
-                    p0.append(node.prob_left)
-                node_map[node.id] = thr_index[key]
-            self._thr_of_node.append(node_map)
-        self._indicators = (
-            np.vstack(ind_cols) if ind_cols else np.empty((0, self.n))
-        )
-        self._p0 = np.asarray(p0)
+                first_p.setdefault((node.feature, node.threshold), node.prob_left)
+        feats = [k, *self._singles]
+        grids = {g: np.unique([t for f, t in first_p if f == g]) for g in feats}
+        sizes = np.array([len(grids[f]) for f in feats])
+        thr0 = dict(zip(feats, np.cumsum(sizes) - sizes))
+        self._p0 = np.array([first_p[(f, t)] for f in feats for t in grids[f]])
+        self._thr_feat = np.repeat(feats, sizes)
+        self._thr_rank = np.concatenate([np.arange(m) for m in sizes])
+        # Grid cell of each row: the number of thresholds at or below it.
+        self._iv = {f: np.searchsorted(g, data.column(f), side="right") for f, g in grids.items()}
 
-        self._paths = [
-            _leaf_paths(tree, self._thr_of_node[t])
-            for t, tree in enumerate(ensemble.trees)
-        ]
-        self.tau = tuple(
-            t for t, tree in enumerate(ensemble.trees) if k in tree.feature_set
-        )
-        self.tau_out = tuple(
-            t for t in range(ensemble.n_trees) if t not in set(self.tau)
-        )
-        self._tau_with: dict[int, list[int]] = {}
-        self._out_with: dict[int, list[int]] = {}
-        for t in self.tau:
-            for f in ensemble.trees[t].feature_set:
-                if f != k:
-                    self._tau_with.setdefault(f, []).append(t)
-        for t in self.tau_out:
-            for f in ensemble.trees[t].feature_set:
-                self._out_with.setdefault(f, []).append(t)
-        self.used_features = frozenset(
-            f for tree in ensemble.trees for f in tree.feature_set
-        )
-        self._class_evals: dict[tuple[int, frozenset[int]], _ClassEval] = {}
-        self._ones = np.ones(self.n)
+        def thr_of(node):
+            f = node.feature
+            return thr0[f] + int(np.searchsorted(grids[f], node.threshold))
+
+        depth = max(1, ensemble.max_depth)
+        self._paths = [_path_arrays(tree, thr_of, depth, self._thr_rank) for tree in trees]
+        self._classes: dict[tuple[int, frozenset[int], float], int] = {}
+        self._leaf_value, self._factor, self._n_coef = [], [], 0
+        self._slot, self._slot_leaf = [], []
+        self._scalar_of, self._n_slots = [], 0
+
+        empty, only_k = frozenset(), frozenset((k,))
+        # Grid tables, k first: k's holds d^{} (tau_k trees, {k} minus the
+        # empty set), each singleton m's the margin given x_m, minus f0.
+        grid, offs = [], []
+        for f in feats:
+            with_f = tau if f == k else [t for t, tr in enumerate(trees) if f in tr.feature_set]
+            known = frozenset((f,))
+            terms = [(t, c, sign) for t in with_f for c, sign in ((known, 1.0), (empty, -1.0))]
+            offs.append(self._space({f: np.arange(len(grids[f]) + 1)}, terms))
+            grid.append(self._iv[f] + offs[-1])
+        self._grids_end = self._n_slots
+        self._grid1 = offs[1] if s else self._grids_end
+        # Weighted count below threshold j of f = cumulative weight of f's
+        # grid cells 0..j; integer weights keep every partial sum exact.
+        self._count_lo = np.repeat(offs, sizes)
+        self._count_hi = self._count_lo + self._thr_rank + 1
+        self._empty_slot = self._space({}, [(t, empty, 1.0) for t in range(len(trees))])
+        # Gather rows: the margins F for the empty set and each singleton,
+        # then the gaps d for the same subsets, then the rest tables.
+        rows = [np.full(self.n, self._empty_slot), *grid[1:], grid[0]]
+
+        # Pair tables: d^{m} - d^{} over the tau_k trees that use m.
+        for m in self._singles[: self._n_pairs]:
+            only_m, both = frozenset((m,)), frozenset((k, m))
+            cells, rep = self._cells(self._tids(with_m[m], k, m))
+            rows.append(cells + self._space(rep, [
+                (t, c, sign) for t in with_m[m] for c, sign in
+                ((both, 1.0), (only_k, -1.0), (only_m, -1.0), (empty, 1.0))
+            ]))
+        rows += [grid[0]] * (s - self._n_pairs)
+        # Rest tables: d^rest over tau_k trees, several trees per table
+        # while their joint cells stay few.
+        def n_cells(group):
+            _, counts = np.unique(self._thr_feat[self._tids(group)], return_counts=True)
+            return np.prod(counts + 1.0)
+
+        groups: list[list[int]] = []
+        for t in tau if s > 1 else ():
+            if groups and n_cells(groups[-1] + [t]) <= _REST_CELLS:
+                groups[-1].append(t)
+            else:
+                groups.append([t])
+        for group in groups:
+            cells, rep = self._cells(self._tids(group))
+            rows.append(cells + self._space(rep, [
+                (t, c, sign) for t in group for c, sign in (
+                    (frozenset(trees[t].feature_set), 1.0),
+                    (frozenset(trees[t].feature_set) - only_k, -1.0))
+            ]))
+        self._n_rest = len(groups)
+        if self._n_rest:
+            self._pred = predict_margin_batch(ensemble, data)
+        self._ids = np.vstack(rows)
+        self._scalar_of = np.array(self._scalar_of + [-1], dtype=np.intp)
+        self._leaf_value = np.concatenate(self._leaf_value)
+        self._factor = np.hstack(self._factor)
+        self._slot = np.concatenate(self._slot)
+        self._slot_leaf = np.concatenate(self._slot_leaf)
+        del self._paths, self._classes, self._iv
+
+    # -- build helpers -------------------------------------------------------
+
+    def _tids(self, tree_ids, *features) -> np.ndarray:
+        """Distinct threshold ids of the given trees' splits, only those on
+        ``features`` if any are given."""
+        out = []
+        for t in tree_ids:
+            tid, feat = self._paths[t][1:3]
+            if features:
+                tid = tid[np.logical_or.reduce([feat == f for f in features])]
+            out.append(tid[tid >= 0])
+        return np.unique(np.concatenate(out))
+
+    def _cells(self, tids: np.ndarray):
+        """Row cell ids in the space split by threshold ids ``tids``, and the
+        grid cell of each cell's first row for each split feature."""
+        code = np.zeros(self.n, np.int64)
+        bound = 1
+        feats = np.unique(self._thr_feat[tids])
+        for f in feats:
+            cuts = self._thr_rank[tids[self._thr_feat[tids] == f]]
+            if bound * (len(cuts) + 1) >= 2**62:
+                code = np.unique(code, return_inverse=True)[1]
+                bound = int(code.max()) + 1
+            code = code * (len(cuts) + 1) + np.searchsorted(cuts, self._iv[f])
+            bound *= len(cuts) + 1
+        _, first, cells = np.unique(code, return_index=True, return_inverse=True)
+        return cells, {int(f): self._iv[f][first] for f in feats}
+
+    def _class(self, t: int, known: frozenset[int], sign: float) -> int:
+        """Offset of class (t, known) in the per-draw leaf coefficients:
+        ``sign`` * leaf value times the probabilities of the unknown steps."""
+        key = (t, known, sign)
+        if key not in self._classes:
+            vals, tid, feat, left, _ = self._paths[t]
+            one = 2 * len(self._p0)  # index of the constant 1.0 in the draw's factors
+            fixed = tid < 0
+            for f in known:
+                fixed |= feat == f
+            self._factor.append(np.where(fixed, one, np.where(left, tid, tid + one // 2)).T)
+            self._classes[key] = self._n_coef
+            self._n_coef += len(vals)
+            self._leaf_value.append(sign * vals)
+        return self._classes[key]
+
+    def _space(self, rep, terms) -> int:
+        """Allocate a table with one slot per cell of ``rep`` (one if empty)
+        plus one for the terms with nothing known, which every cell shares;
+        add each term ``sign`` * h_{t, known}: per cell, the leaves whose box
+        lies in the cell's grid cells. Returns the first slot."""
+        off = self._n_slots
+        n_cells = len(next(iter(rep.values()), [0]))
+        for t, known, sign in terms:
+            vals, *_, box = self._paths[t]
+            ok = np.ones((n_cells if known else 1, len(vals)), bool)
+            for f in known:
+                lo, hi = box[f]
+                ok &= (lo <= rep[f][:, None]) & (rep[f][:, None] < hi)
+            cells, leaves = np.nonzero(ok)
+            self._slot.append(off + cells + (0 if known else n_cells))
+            self._slot_leaf.append(self._class(t, known, sign) + leaves)
+        self._scalar_of += [off + n_cells] * n_cells + [-1]
+        self._n_slots += n_cells + 1
+        return off
 
     # -- probability refresh -------------------------------------------------
 
@@ -278,167 +352,91 @@ class SubSageEngine:
         total = float(weights.sum())
         if total <= 0:
             raise InputError("weights must have positive total")
-        return (self._indicators @ weights) / total
-
-    # -- class evaluations ---------------------------------------------------
-
-    def _class_eval(self, t: int, known: frozenset[int]) -> _ClassEval:
-        key = (t, known)
-        got = self._class_evals.get(key)
-        if got is None:
-            got = _ClassEval(self._paths[t], known, self._indicators)
-            self._class_evals[key] = got
-        return got
+        s = len(self._singles)
+        grid_ids = self._ids[1 : s + 2]
+        counts = np.bincount(grid_ids.ravel(), np.tile(weights, s + 1), self._grids_end)
+        cum = np.concatenate(([0.0], np.cumsum(counts)))
+        return (cum[self._count_hi] - cum[self._count_lo]) / total
 
     # -- estimation ----------------------------------------------------------
 
-    def _materialize(self, sv):
-        s, v = sv
-        if v is None:
-            return np.full(self.n, s)
-        return v + s
-
-    def _reduce(self, a_sv, b_sv, c_sv, w, total):
-        y = self.y
-        a = self._materialize(a_sv)
-        b = self._materialize(b_sv)
-        c = self._materialize(c_sv)
-        if self.loss is LossKind.SQUARED_ERROR:
-            diff = b - a
-            t_y = 2.0 * float(w @ (y * diff)) / total
-            t_a = float(w @ (a * a)) / total
-            t_b = float(w @ (b * b)) / total
-            t_c = 2.0 * float(w @ (c * diff)) / total
-            return t_y + t_a - t_b - t_c
-        t_lin = float(w @ ((1.0 - y) * (a - b))) / total
-        log_s = np.logaddexp(0.0, -(a + c))
-        log_sk = np.logaddexp(0.0, -(b + c))
-        t_log = float(w @ (log_s - log_sk)) / total
-        return t_lin + t_log
-
-    def deltas_for_weights(
-        self, weights: np.ndarray | None = None
-    ) -> dict[frozenset[int], float]:
-        """Estimated loss difference for every subset in Q_k.
-
-        Subsets are collapsed through the features the ensemble actually
-        uses: a subset feature appearing in no tree cannot change any
-        conditional expectation, so such subsets share their computation
-        exactly.
-        """
-        if weights is None:
-            w = self._ones
-            total = float(self.n)
-            p = self._p0
-        else:
+    def _delta_rows(self, weights) -> np.ndarray | None:
+        """Loss differences for the empty set, each used feature's
+        singleton and, with two or more of those, the rest subset; None
+        when no tree splits on k."""
+        w, total = None, float(self.n)
+        if weights is not None:
             w = np.asarray(weights, dtype=np.float64)
             if w.shape != (self.n,):
                 raise InputError("weights length must match row count")
             total = float(w.sum())
             if total <= 0:
                 raise InputError("weights must have positive total")
-            p = self.probs_for_weights(w)
-        q = 1.0 - p
-        trees = self.ensemble.trees
-        k = self.k
+        if self.k not in self.used_features:
+            return None
+        p = self._p0 if w is None else self.probs_for_weights(w)
+        w = np.ones(self.n) if w is None else w
+        pp = np.concatenate((p, 1.0 - p, (1.0,)))
+        coef = self._leaf_value
+        for col in self._factor:
+            coef = coef * pp[col]
+        table = np.bincount(self._slot, coef[self._slot_leaf], self._n_slots + 1)
+        table += table[self._scalar_of]
+        table[self._empty_slot] += self.ensemble.base_score
+        table[self._grid1 : self._grids_end] += table[self._empty_slot]
+        x = np.take(table, self._ids)
+        s = len(self._singles)
+        x[s + 2 : s + 2 + self._n_pairs] += x[s + 1]
+        delta = self._loss_gaps(x[s + 1 : 2 * s + 2], x[: s + 1], w) / total
+        if not self._n_rest:
+            return delta
+        # Knowing every feature but k gives the margin prediction - d^rest.
+        d = x[2 * s + 2 :].sum(axis=0)
+        return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
 
-        draw_cache: dict[tuple[int, frozenset[int]], tuple] = {}
+    def _loss_gaps(self, d, f, w):
+        """Weighted sums of L(f) - L(f + d) per row of margins ``f``."""
+        if self.loss is LossKind.SQUARED_ERROR:
+            terms = d * (2.0 * (self.y - f) - d)
+        else:
+            terms = (self.y - 1.0) * d + np.logaddexp(0.0, -f) - np.logaddexp(0.0, -f - d)
+        return np.einsum("...j,j->...", terms, w)
 
-        def ev(t: int, known: frozenset[int]):
-            key = (t, known)
-            got = draw_cache.get(key)
-            if got is None:
-                got = self._class_eval(t, known).evaluate(p, q)
-                draw_cache[key] = got
-            return got
+    def _psi(self, delta) -> float:
+        if delta is None:
+            return 0.0
+        s = len(self._singles)
+        weights = self.family.weights
+        # Singletons of features no tree uses carry the empty set's delta.
+        singles = float(delta[1 : 1 + s].sum()) + (self.family.n_features - 1 - s) * delta[0]
+        return float(
+            weights[0] * delta[0] + weights[1] * singles + weights[-1] * delta[self._rest_row]
+        )
 
-        empty = frozenset()
-        only_k = frozenset((k,))
-
-        def acc(pairs):
-            s = 0.0
-            v = None
-            for es, evec in pairs:
-                s += es
-                if evec is not None:
-                    v = evec.copy() if v is None else v + evec
-            return (s, v)
-
-        def corrected(base, plus_minus):
-            s, v = base
-            v = None if v is None else v.copy()
-            for (ps, pv), (ms, mv) in plus_minus:
-                s += ps - ms
-                if pv is not None or mv is not None:
-                    if v is None:
-                        v = np.zeros(self.n)
-                    if pv is not None:
-                        v += pv
-                    if mv is not None:
-                        v -= mv
-            return (s, v)
-
-        a0 = acc(ev(t, empty) for t in self.tau)
-        b0 = acc(ev(t, only_k) for t in self.tau)
-        c0 = acc(ev(t, empty) for t in self.tau_out)
-        c0 = (c0[0] + self.ensemble.base_score, c0[1])
-
-        by_key: dict[frozenset[int], float] = {
-            empty: self._reduce(a0, b0, c0, w, total)
-        }
-        for m in sorted(self.used_features - {k}):
-            key = frozenset((m,))
-            a = corrected(
-                a0,
-                [
-                    (ev(t, key), ev(t, empty))
-                    for t in self._tau_with.get(m, ())
-                ],
-            )
-            b = corrected(
-                b0,
-                [
-                    (ev(t, frozenset((m, k))), ev(t, only_k))
-                    for t in self._tau_with.get(m, ())
-                ],
-            )
-            c = corrected(
-                c0,
-                [
-                    (ev(t, key), ev(t, empty))
-                    for t in self._out_with.get(m, ())
-                ],
-            )
-            by_key[key] = self._reduce(a, b, c, w, total)
-
-        full_key = frozenset(self.used_features - {k})
-        if full_key not in by_key:
-            a = acc(
-                ev(t, frozenset(trees[t].feature_set) - {k}) for t in self.tau
-            )
-            b = acc(ev(t, frozenset(trees[t].feature_set)) for t in self.tau)
-            c = acc(ev(t, frozenset(trees[t].feature_set)) for t in self.tau_out)
-            c = (c[0] + self.ensemble.base_score, c[1])
-            by_key[full_key] = self._reduce(a, b, c, w, total)
-
+    def _by_subset(self, delta) -> dict[frozenset[int], float]:
+        """Per-subset deltas; a subset's delta depends only on its features
+        that some tree uses, so subsets agreeing on those share one value."""
+        if delta is None:
+            return dict.fromkeys(self.family.subsets, 0.0)
+        delta = delta.tolist()
+        row = {frozenset((m,)): i for i, m in enumerate(self._singles, 1)}
+        rest = self.family.subsets[-1]
         return {
-            subset: by_key[frozenset(subset & self.used_features)]
-            for subset in self.family.subsets
+            s: delta[self._rest_row if s == rest else row.get(s, 0)]
+            for s in self.family.subsets
         }
+
+    def deltas_for_weights(self, weights: np.ndarray | None = None) -> dict[frozenset[int], float]:
+        """Estimated loss difference for every subset in Q_k."""
+        return self._by_subset(self._delta_rows(weights))
 
     def psi_for_weights(self, weights: np.ndarray | None = None) -> float:
-        deltas = self.deltas_for_weights(weights)
-        return sum(
-            w * deltas[s] for s, w in zip(self.family.subsets, self.family.weights)
-        )
+        return self._psi(self._delta_rows(weights))
 
     def estimate(self, weights: np.ndarray | None = None) -> SubSageEstimate:
-        deltas = self.deltas_for_weights(weights)
-        psi = sum(
-            w * deltas[s] for s, w in zip(self.family.subsets, self.family.weights)
-        )
+        delta = self._delta_rows(weights)
         return SubSageEstimate(
-            psi_hat=psi, per_subset_deltas=deltas, n_test=self.n
+            psi_hat=self._psi(delta), per_subset_deltas=self._by_subset(delta), n_test=self.n
         )
 
 

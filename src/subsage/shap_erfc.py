@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .cond_expect import SubsetMask, cond_exp_tree, tree_cond_exp_batch
+from .cond_expect import tree_cond_exp_batch
 from .dataset import Dataset
 from .errors import InputError
 from .tree_model import Ensemble
@@ -87,29 +87,6 @@ def shap_exact(ensemble: Ensemble, data: Dataset) -> ShapMatrix:
                 col += w * (np.asarray(values[with_k]) - np.asarray(values[sub]))
             phi[:, k] += col
     return ShapMatrix(phi=phi, phi0=phi0)
-
-
-def shap_exact_tree_row(tree, x, n_players: int | None = None) -> dict[int, float]:
-    """Single-tree, single-row SHAP by direct subset enumeration.
-
-    Reference path used by tests; ``n_players`` defaults to the tree's own
-    feature count.
-    """
-    feats = tree.feature_set
-    p = n_players if n_players is not None else len(feats)
-    out: dict[int, float] = {}
-    for k in feats:
-        others = tuple(f for f in feats if f != k)
-        total = 0.0
-        for sub in _subsets_in_order(others):
-            with_k = tuple(sorted((*sub, k)))
-            w = shapley_weight(len(sub), p)
-            total += w * (
-                cond_exp_tree(tree, SubsetMask.from_row(x, with_k))
-                - cond_exp_tree(tree, SubsetMask.from_row(x, sub))
-            )
-        out[k] = total
-    return out
 
 
 def erfc(shap: ShapMatrix) -> ErfcScores:

@@ -102,6 +102,8 @@ class Tree:
             node = self._nodes[nid]
             if node.is_leaf:
                 continue
+            if np.isnan(node.threshold):
+                raise InputError(f"node {nid}: threshold is NaN")
             if node.left == node.right:
                 raise InputError(f"node {nid}: children must differ")
             for child in (node.left, node.right):

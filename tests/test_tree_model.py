@@ -53,6 +53,10 @@ class TestTreeStructure:
         with pytest.raises(InputError, match="children must differ"):
             Tree([branch(1, 0, 1.0, 2, 2), leaf(2, 0.0)])
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(InputError, match="threshold is NaN"):
+            Tree([branch(1, 0, float("nan"), 2, 3), leaf(2, 0.0), leaf(3, 1.0)])
+
     def test_missing_root(self):
         with pytest.raises(InputError, match="no root"):
             Tree([leaf(2, 0.0)])

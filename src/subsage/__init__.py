@@ -9,7 +9,7 @@ from .bootstrap import (
     paired_bootstrap,
     percentile_interval,
 )
-from .cond_expect import SubsetMask, cond_exp_batch, cond_exp_ensemble, cond_exp_tree
+from .cond_expect import cond_exp_batch
 from .dataset import (
     Dataset,
     FeatureKind,

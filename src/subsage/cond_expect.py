@@ -9,8 +9,7 @@ so results are exact given the annotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -19,59 +18,9 @@ from .errors import InputError
 from .tree_model import ROOT_ID, Ensemble, Tree
 
 
-@dataclass(frozen=True)
-class SubsetMask:
-    """A known feature subset S together with the observed values x_S."""
-
-    features: frozenset[int]
-    values: Mapping[int, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", frozenset(self.features))
-        if set(self.values) != set(self.features):
-            raise InputError("SubsetMask values must cover exactly the masked features")
-
-    @classmethod
-    def from_row(cls, row, features: Iterable[int]) -> "SubsetMask":
-        feats = frozenset(features)
-        return cls(feats, {f: float(row[f]) for f in feats})
-
-    @classmethod
-    def empty(cls) -> "SubsetMask":
-        return cls(frozenset(), {})
-
-
 def _require_annotated(tree: Tree) -> None:
     if not tree.annotated:
         raise InputError("tree is not probability-annotated")
-
-
-def cond_exp_tree(tree: Tree, mask: SubsetMask) -> float:
-    """Expected tree output given the masked features, exact."""
-    _require_annotated(tree)
-    known = mask.features
-    values = mask.values
-
-    def rec(nid: int) -> float:
-        node = tree.node(nid)
-        if node.is_leaf:
-            return node.leaf_value
-        if node.feature in known:
-            if values[node.feature] < node.threshold:
-                return rec(node.left)
-            return rec(node.right)
-        p = node.prob_left
-        return rec(node.left) * p + rec(node.right) * (1.0 - p)
-
-    return rec(ROOT_ID)
-
-
-def cond_exp_ensemble(ensemble: Ensemble, mask: SubsetMask) -> float:
-    """base_score plus the sum of per-tree conditional expectations."""
-    total = ensemble.base_score
-    for tree in ensemble.trees:
-        total += cond_exp_tree(tree, mask)
-    return total
 
 
 def tree_cond_exp_batch(
@@ -84,7 +33,7 @@ def tree_cond_exp_batch(
     ``cols`` is the (M, N) column matrix. Returns a scalar when no known
     feature appears in the tree (the value is row-independent), otherwise a
     length-N vector. Known-feature branches select with np.where, so each
-    row's value is bit-identical to the scalar recursion.
+    row's value is bit-identical to a scalar recursion over that row.
     """
     _require_annotated(tree)
     relevant = known.intersection(tree.feature_set)

@@ -46,6 +46,18 @@ class FeatureKind(Enum):
             )
 
 
+def _check_finite(table: np.ndarray, where) -> None:
+    """Reject the first NaN or +-inf of a 2-D array in row-major order,
+    naming it by ``where(i, j)``."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise InputError(
+            f"{where(i, j)}: {table[i, j]} is not finite (missing values "
+            "and infinities are not supported)"
+        )
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column-typed feature matrix with a response vector.
@@ -71,8 +83,8 @@ class Dataset:
             raise InputError(
                 f"response length {resp.shape} does not match {n} rows"
             )
-        if np.isnan(cols).any() or np.isnan(resp).any():
-            raise InputError("missing values (NaN) are not supported")
+        _check_finite(cols, lambda j, i: f"column {self.feature_names[j]!r}, row index {i}")
+        _check_finite(resp[None], lambda _, i: f"response, row index {i}")
         cols.setflags(write=False)
         resp.setflags(write=False)
         object.__setattr__(self, "columns", cols)
@@ -163,7 +175,9 @@ def load_csv(
     if not rows:
         raise InputError(f"{path}: no data rows")
 
-    table = np.asarray(rows, dtype=np.float64).T
+    table = np.asarray(rows, dtype=np.float64)
+    _check_finite(table, lambda i, j: f"{path}: row {i + 2}, column {header[j]!r}")
+    table = table.T
     y_pos = header.index(response)
     feat_idx = [i for i in range(len(header)) if i != y_pos]
     names = tuple(header[i] for i in feat_idx)

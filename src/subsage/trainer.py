@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .estimator import LossKind
-from .tree_model import Ensemble, Node, Tree, branch, leaf
+from .tree_model import Ensemble, Node, Tree, _tree_predict_batch, branch, leaf
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,13 @@ class TrainConfig:
             f = getattr(self, name)
             if not 0.0 < f <= 1.0:
                 raise InputError(f"{name} must lie in (0, 1]")
-        if self.reg_lambda < 0 or self.min_gain < 0:
-            raise InputError("reg_lambda and min_gain must be non-negative")
+        for name in ("reg_lambda", "min_gain"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be finite and non-negative")
         if self.max_rounds < 1:
             raise InputError("max_rounds must be at least 1")
+        if self.early_stopping_rounds < 0:
+            raise InputError("early_stopping_rounds must be non-negative (0 disables it)")
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
@@ -69,19 +72,18 @@ def eval_loss(loss: LossKind, margins: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((1.0 - y) * margins + np.logaddexp(0.0, -margins)))
 
 
-def _best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float, gamma: float):
+def _best_split(xs: np.ndarray, gs: np.ndarray, hs: np.ndarray, lam: float, gamma: float):
     """Best (gain, threshold) for one feature, or None.
 
-    Scans prefix sums over the sorted values; candidate thresholds are
-    midpoints between consecutive distinct values, so any value equal to
-    the left endpoint routes left under the strict-below convention.
+    Scans prefix sums over a node's values, gradients and hessians sorted
+    by value; candidate thresholds are midpoints between consecutive
+    distinct values, so any value equal to the left endpoint routes left
+    under the strict-below convention.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
     if xs[0] == xs[-1]:
         return None
-    gs = np.cumsum(g[order])
-    hs = np.cumsum(h[order])
+    gs = np.cumsum(gs)
+    hs = np.cumsum(hs)
     g_tot, h_tot = gs[-1], hs[-1]
     cut = np.nonzero(xs[:-1] < xs[1:])[0]
     gl, hl = gs[cut], hs[cut]
@@ -99,50 +101,50 @@ def _best_split(x: np.ndarray, g: np.ndarray, h: np.ndarray, lam: float, gamma: 
 
 def _grow_tree(
     columns: np.ndarray,
+    presorted: np.ndarray,
     rows: np.ndarray,
     features: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     cfg: TrainConfig,
 ) -> Tree:
+    """Grow one tree on the ascending ``rows`` over ``features``.
+
+    ``presorted[f]`` is the stable argsort of ``columns[f]``. A node that
+    searches keeps, of each of its parent's sorted lists, the rows inside
+    it, so it scans them in the order a stable argsort would give.
+    """
     nodes: list[Node] = []
 
-    def make(node_id: int, idx: np.ndarray, depth: int) -> None:
+    def make(node_id: int, idx: np.ndarray, lists, inside: np.ndarray, depth: int) -> None:
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
         if depth < cfg.max_depth and len(idx) >= 2:
-            g_node, h_node = g[idx], h[idx]
+            lists = [order[inside[order]] for order in lists]
             best = None
-            for f in features:
-                found = _best_split(columns[f][idx], g_node, h_node, cfg.reg_lambda, cfg.min_gain)
+            for f, order in zip(features, lists):
+                found = _best_split(
+                    columns[f][order], g[order], h[order], cfg.reg_lambda, cfg.min_gain
+                )
                 if found is not None and (best is None or found[0] > best[0]):
                     best = (found[0], int(f), found[1])
             if best is not None:
                 _, f, t = best
                 nodes.append(branch(node_id, f, t, 2 * node_id, 2 * node_id + 1))
-                go_left = columns[f][idx] < t
-                make(2 * node_id, idx[go_left], depth + 1)
-                make(2 * node_id + 1, idx[~go_left], depth + 1)
+                go_left = columns[f] < t
+                keep = go_left[idx]
+                make(2 * node_id, idx[keep], lists, go_left, depth + 1)
+                make(2 * node_id + 1, idx[~keep], lists, ~go_left, depth + 1)
                 return
+        if h_sum + cfg.reg_lambda == 0.0:
+            raise NumericalError(f"leaf {node_id} has zero hessian; use reg_lambda > 0")
         value = -g_sum / (h_sum + cfg.reg_lambda) * cfg.learning_rate
         nodes.append(leaf(node_id, value))
 
-    make(1, rows, 0)
+    inside = np.zeros(columns.shape[1], dtype=bool)
+    inside[rows] = True
+    make(1, rows, [presorted[f] for f in features], inside, 0)
     return Tree(nodes)
-
-
-def _tree_margins(tree: Tree, columns: np.ndarray) -> np.ndarray:
-    def rec(nid: int):
-        node = tree.node(nid)
-        if node.is_leaf:
-            return node.leaf_value
-        take_left = columns[node.feature] < node.threshold
-        return np.where(take_left, rec(node.left), rec(node.right))
-
-    out = rec(1)
-    if np.isscalar(out):
-        return np.full(columns.shape[1], out)
-    return out
 
 
 def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensemble:
@@ -173,6 +175,7 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
     margins = np.full(n, base)
     margins_valid = np.full(valid_data.n_rows, base)
     rng = np.random.default_rng(cfg.seed)
+    presorted = np.argsort(cols, axis=1, kind="stable")
 
     trees: list[Tree] = []
     best_loss = np.inf
@@ -185,10 +188,10 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
         feats = np.arange(m)
         if cfg.colsample < 1.0:
             feats = np.sort(rng.choice(m, size=max(1, int(cfg.colsample * m)), replace=False))
-        tree = _grow_tree(cols, rows, feats, g, h, cfg)
+        tree = _grow_tree(cols, presorted, rows, feats, g, h, cfg)
         trees.append(tree)
-        margins += _tree_margins(tree, cols)
-        margins_valid += _tree_margins(tree, valid_data.columns)
+        margins += _tree_predict_batch(tree, cols)
+        margins_valid += _tree_predict_batch(tree, valid_data.columns)
         vloss = eval_loss(cfg.loss, margins_valid, valid_data.response)
         if vloss < best_loss:
             best_loss = vloss

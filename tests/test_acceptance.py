@@ -23,7 +23,7 @@ import pytest
 
 from subsage.bootstrap import BootstrapConfig, bca_interval, paired_bootstrap, percentile_interval
 from subsage.cli import main as cli_main
-from subsage.cond_expect import SubsetMask, cond_exp_batch, cond_exp_tree
+from subsage.cond_expect import cond_exp_batch
 from subsage.dataset import Dataset, FeatureKind, concat_rows, load_csv, split, write_csv
 from subsage.estimator import (
     LossKind,
@@ -35,6 +35,7 @@ from subsage.shap_erfc import shap_exact
 from subsage.synthetic import SyntheticConfig, TrueMoments, true_shap
 from subsage.tree_model import Ensemble, annotate_probabilities, load_model, predict_margin
 
+from cond_exp_oracle import SubsetMask, cond_exp_tree
 from conftest import (
     make_depth2,
     make_stump,

@@ -66,6 +66,20 @@ class TestTrainCommand:
         )
         assert code == 2
 
+    def test_nan_lambda_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert run(["simulate", "--n", 40, "--seed", 2, "--out-dir", out]) == 0
+        data_csv = out / "synthetic.csv"
+        code = run(
+            ["train", "--train", data_csv, "--valid", data_csv, "--lambda", "nan",
+             "--out", tmp_path / "m.json"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "reg_lambda" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_writes_model(self, small_pipeline):
         from subsage.tree_model import load_model
 

@@ -3,12 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from subsage.cond_expect import (
-    SubsetMask,
-    cond_exp_batch,
-    cond_exp_ensemble,
-    cond_exp_tree,
-)
+from subsage.cond_expect import cond_exp_batch
 from subsage.dataset import Dataset
 from subsage.errors import InputError
 from subsage.tree_model import (
@@ -20,6 +15,7 @@ from subsage.tree_model import (
     predict_margin,
 )
 
+from cond_exp_oracle import SubsetMask, cond_exp_ensemble, cond_exp_tree
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
 
 

@@ -53,6 +53,21 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="no data rows"):
             load_csv(path, response="y")
 
+    def test_inf_feature_cell_names_path_row_and_column(self, tmp_path):
+        path = _write(tmp_path, "x1,x2,y\n1,2,3\n4,inf,6\n")
+        with pytest.raises(InputError, match=r"data\.csv: row 3, column 'x2': inf is not finite"):
+            load_csv(path, response="y")
+
+    def test_inf_response_names_path_row_and_column(self, tmp_path):
+        path = _write(tmp_path, "x1,y,x2\n1,-inf,3\n")
+        with pytest.raises(InputError, match=r"data\.csv: row 2, column 'y': -inf is not finite"):
+            load_csv(path, response="y")
+
+    def test_nan_cell_names_path_row_and_column(self, tmp_path):
+        path = _write(tmp_path, "x1,y\n1,2\n3,4\nnan,5\n")
+        with pytest.raises(InputError, match=r"data\.csv: row 4, column 'x1': nan"):
+            load_csv(path, response="y")
+
     def test_count_kind_rejects_negative(self, tmp_path):
         path = _write(tmp_path, "x1,y\n-1,0\n")
         with pytest.raises(InputError, match="non-negative integer"):
@@ -176,6 +191,15 @@ class TestDatasetInvariants:
     def test_rejects_nan(self):
         with pytest.raises(InputError, match="missing values"):
             Dataset(("a",), np.array([[1.0, np.nan]]), (FeatureKind.CONTINUOUS,), np.zeros(2))
+
+    def test_rejects_inf_feature_with_location(self):
+        cols = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, -np.inf]])
+        with pytest.raises(InputError, match=r"column 'b', row index 2: -inf is not finite"):
+            Dataset(("a", "b"), cols, (FeatureKind.CONTINUOUS,) * 2, np.zeros(3))
+
+    def test_rejects_inf_response_with_location(self):
+        with pytest.raises(InputError, match=r"response, row index 1: inf is not finite"):
+            Dataset(("a",), np.ones((1, 3)), (FeatureKind.CONTINUOUS,), np.array([0.0, np.inf, 1.0]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(InputError):

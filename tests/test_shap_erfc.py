@@ -4,7 +4,6 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from subsage.cond_expect import SubsetMask, cond_exp_tree
 from subsage.dataset import Dataset, FeatureKind
 from subsage.errors import InputError
 from subsage.shap_erfc import ErfcScores, ShapMatrix, erfc, rank_features, shap_exact
@@ -14,6 +13,7 @@ from subsage.tree_model import (
     predict_margin,
 )
 
+from cond_exp_oracle import SubsetMask, cond_exp_tree
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
 
 

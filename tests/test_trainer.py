@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subsage.dataset import Dataset, FeatureKind
-from subsage.errors import InputError
+from subsage.errors import InputError, NumericalError
 from subsage.estimator import LossKind
 from subsage.trainer import TrainConfig, eval_loss, train
 from subsage.tree_model import predict_margin_batch, write_model
@@ -38,6 +38,23 @@ class TestConfigValidation:
             TrainConfig(reg_lambda=-1.0)
         with pytest.raises(InputError):
             TrainConfig(min_gain=-0.5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reg_lambda", float("nan")),
+            ("reg_lambda", float("inf")),
+            ("min_gain", float("nan")),
+            ("min_gain", float("inf")),
+            ("early_stopping_rounds", -3),
+        ],
+    )
+    def test_impossible_values_name_the_field(self, field, value):
+        with pytest.raises(InputError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_penalties_and_patience_accepted(self):
+        TrainConfig(reg_lambda=0.0, min_gain=0.0, early_stopping_rounds=0)
 
 
 class TestTrainRegression:
@@ -116,6 +133,22 @@ class TestTrainLogistic:
         cfg = TrainConfig(loss=LossKind.BINARY_CROSS_ENTROPY)
         with pytest.raises(InputError, match="degenerate single-valued"):
             train(ones, ones, cfg)
+
+    def test_zero_hessian_leaf_without_lambda_is_numerical_error(self):
+        # One row per round and no L2 penalty: each Newton step overshoots
+        # until the sigmoid saturates and the leaf hessian is exactly zero.
+        data = _dataset(np.array([[0.1, -0.1]]), np.array([0.0, 1.0]))
+        cfg = TrainConfig(
+            learning_rate=1.0,
+            max_depth=1,
+            subsample=0.8,
+            reg_lambda=0.0,
+            max_rounds=6,
+            loss=LossKind.BINARY_CROSS_ENTROPY,
+            seed=1,
+        )
+        with pytest.raises(NumericalError, match="zero hessian"):
+            train(data, data, cfg)
 
     def test_non_binary_rejected(self, rng):
         data = random_dataset(rng, 50, 2)

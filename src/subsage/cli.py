@@ -63,8 +63,6 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="subsage", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for multi-feature estimation")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress messages")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -181,11 +179,6 @@ def _cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _estimate_one(model, test, name, loss, cfg):
-    k = test.feature_index(name)
-    return bs.paired_bootstrap(model, k, test, loss, cfg)
-
-
 def _cmd_subsage(args) -> int:
     if args.train_path is not None and Path(args.train_path).resolve() == Path(args.test).resolve():
         print(
@@ -200,15 +193,9 @@ def _cmd_subsage(args) -> int:
         n_draws=args.bootstrap, alpha=args.alpha, seed=args.seed, bca=args.bca
     )
     features = list(dict.fromkeys(args.feature))
-    if args.threads > 1 and len(features) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(
-                pool.map(lambda f: _estimate_one(model, test, f, loss, cfg), features)
-            )
-    else:
-        results = [_estimate_one(model, test, f, loss, cfg) for f in features]
+    results = [
+        bs.paired_bootstrap(model, test.feature_index(f), test, loss, cfg) for f in features
+    ]
 
     reports = [
         bs.report_dict(r, test.feature_names, include_draws=args.emit_draws)

@@ -1,10 +1,10 @@
 """Exact conditional expectation of tree and ensemble outputs given a known
 feature subset, under feature independence.
 
-At a branch on a known feature the recursion follows the data branch; at a
-branch on an unknown feature it mixes both children by the node's annotated
-probabilities; at a leaf it returns the leaf value. No sampling is involved,
-so results are exact given the annotation.
+``Tree.sweep`` evaluates each tree bottom-up: a branch on a known feature
+follows the data branch, a branch on an unknown feature mixes both children
+by the node's annotated probabilities. No sampling is involved, so results
+are exact given the annotation.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
-from .tree_model import ROOT_ID, Ensemble, Tree
-
-
-def _require_annotated(tree: Tree) -> None:
-    if not tree.annotated:
-        raise InputError("tree is not probability-annotated")
+from .tree_model import Ensemble, Tree
 
 
 def tree_cond_exp_batch(
@@ -35,22 +30,9 @@ def tree_cond_exp_batch(
     length-N vector. Known-feature branches select with np.where, so each
     row's value is bit-identical to a scalar recursion over that row.
     """
-    _require_annotated(tree)
-    relevant = known.intersection(tree.feature_set)
-
-    def rec(nid: int):
-        node = tree.node(nid)
-        if node.is_leaf:
-            return node.leaf_value
-        left = rec(node.left)
-        right = rec(node.right)
-        if node.feature in relevant:
-            go_left = cols[node.feature] < node.threshold
-            return np.where(go_left, left, right)
-        p = node.prob_left
-        return left * p + right * (1.0 - p)
-
-    return rec(ROOT_ID)
+    if not tree.annotated:
+        raise InputError("tree is not probability-annotated")
+    return tree.sweep(cols, known)
 
 
 def cond_exp_batch(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
-from .tree_model import ROOT_ID, Ensemble, Tree, predict_margin_batch, trees_containing
+from .tree_model import Ensemble, predict_margin_batch, trees_containing
 
 __all__ = [
     "LossKind",
@@ -106,37 +106,6 @@ def build_subset_family(m: int, k: int) -> SubsetFamily:
 _REST_CELLS = 256
 
 
-def _path_arrays(tree: Tree, thr_of, depth: int, rank: np.ndarray):
-    """Leaf values; root-to-leaf paths as (leaves, depth) arrays of the
-    threshold id (-1 past the leaf), split feature and direction of each
-    step; and per split feature the grid cells [lo, hi) of each leaf's box,
-    where threshold id t has grid rank ``rank[t]``. The walk is iterative,
-    left subtree first."""
-    leaves = []
-    stack = [(ROOT_ID, ())]
-    while stack:
-        nid, path = stack.pop()
-        node = tree.node(nid)
-        if node.is_leaf:
-            leaves.append((node.leaf_value, path))
-            continue
-        tid = thr_of(node)
-        stack.append((node.right, path + ((tid, node.feature, False),)))
-        stack.append((node.left, path + ((tid, node.feature, True),)))
-    shape = (len(leaves), depth)
-    tid, feat, left = np.full(shape, -1), np.full(shape, -1), np.zeros(shape, bool)
-    for i, (_, path) in enumerate(leaves):
-        for d, step in enumerate(path):
-            tid[i, d], feat[i, d], left[i, d] = step
-    above = rank[tid] + 1
-    box = {
-        f: (np.where((feat == f) & ~left, above, 0).max(axis=1),
-            np.where((feat == f) & left, above, len(rank) + 1).min(axis=1))
-        for f in tree.feature_set
-    }
-    return np.array([v for v, _ in leaves]), tid, feat, left, box
-
-
 class SubSageEngine:
     """Shared state for estimating one feature's sub-SAGE on one dataset.
 
@@ -205,12 +174,30 @@ class SubSageEngine:
         # Grid cell of each row: the number of thresholds at or below it.
         self._iv = {f: np.searchsorted(g, data.column(f), side="right") for f, g in grids.items()}
 
-        def thr_of(node):
-            f = node.feature
-            return thr0[f] + int(np.searchsorted(grids[f], node.threshold))
-
+        # Per tree: leaf values; the leaf paths as (leaves, depth) arrays of
+        # the threshold id (-1 past the leaf), split feature and direction of
+        # each step; and per split feature the grid cells [lo, hi) of each
+        # leaf's box.
         depth = max(1, ensemble.max_depth)
-        self._paths = [_path_arrays(tree, thr_of, depth, self._thr_rank) for tree in trees]
+        self._paths = []
+        for tree in trees:
+            leaves, steps, went_left = tree.leaf_paths
+            path = np.full((len(leaves), depth), -1)
+            left = np.zeros(path.shape, bool)
+            path[:, : tree.depth], left[:, : tree.depth] = steps, went_left
+            # Threshold id per node position, and -1 read through step -1.
+            tids = np.full(len(tree.feature) + 1, -1)
+            for f in tree.feature_set:
+                at = np.flatnonzero(tree.feature == f)
+                tids[at] = thr0[f] + np.searchsorted(grids[f], tree.threshold[at])
+            tid, feat = tids[path], np.append(tree.feature, -1)[path]
+            above = self._thr_rank[tid] + 1
+            box = {
+                f: (np.where((feat == f) & ~left, above, 0).max(axis=1),
+                    np.where((feat == f) & left, above, len(self._thr_rank) + 1).min(axis=1))
+                for f in tree.feature_set
+            }
+            self._paths.append((tree.value[leaves], tid, feat, left, box))
         self._classes: dict[tuple[int, frozenset[int], float], int] = {}
         self._leaf_value, self._factor, self._n_coef = [], [], 0
         self._slot, self._slot_leaf = [], []
@@ -509,17 +496,12 @@ def subsage_stumps(ensemble: Ensemble, k: int, test: Dataset) -> SubSageEstimate
         raise InputError(f"feature index {k} out of range")
 
     n = test.n_rows
-    col = test.column(k)
     g = np.zeros(n)
     anchor = 0.0
     for tree in ensemble.trees:
-        if k not in tree.feature_set:
-            continue
-        root = tree.root
-        left = tree.node(root.left).leaf_value
-        right = tree.node(root.right).leaf_value
-        g += np.where(col < root.threshold, left, right)
-        anchor += root.prob_left * left + (1.0 - root.prob_left) * right
+        if k in tree.feature_set:
+            g += tree.sweep(test.columns, (k,))
+            anchor += tree.sweep(test.columns, ())
 
     y = test.response
     centered_y = y - y.mean()

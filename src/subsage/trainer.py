@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import InputError, NumericalError
 from .estimator import LossKind
-from .tree_model import Ensemble, Node, Tree, _tree_predict_batch, branch, leaf
+from .tree_model import Ensemble, Node, Tree, branch, leaf
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,12 @@ def _grow_tree(
     it, so it scans them in the order a stable argsort would give.
     """
     nodes: list[Node] = []
-
-    def make(node_id: int, idx: np.ndarray, lists, inside: np.ndarray, depth: int) -> None:
+    inside = np.zeros(columns.shape[1], dtype=bool)
+    inside[rows] = True
+    # Nodes to grow: (id, rows, parent's sorted lists, rows-inside mask, depth).
+    stack = [(1, rows, [presorted[f] for f in features], inside, 0)]
+    while stack:
+        node_id, idx, lists, inside, depth = stack.pop()
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
         if depth < cfg.max_depth and len(idx) >= 2:
@@ -133,17 +137,13 @@ def _grow_tree(
                 nodes.append(branch(node_id, f, t, 2 * node_id, 2 * node_id + 1))
                 go_left = columns[f] < t
                 keep = go_left[idx]
-                make(2 * node_id, idx[keep], lists, go_left, depth + 1)
-                make(2 * node_id + 1, idx[~keep], lists, ~go_left, depth + 1)
-                return
+                stack.append((2 * node_id + 1, idx[~keep], lists, ~go_left, depth + 1))
+                stack.append((2 * node_id, idx[keep], lists, go_left, depth + 1))
+                continue
         if h_sum + cfg.reg_lambda == 0.0:
             raise NumericalError(f"leaf {node_id} has zero hessian; use reg_lambda > 0")
         value = -g_sum / (h_sum + cfg.reg_lambda) * cfg.learning_rate
         nodes.append(leaf(node_id, value))
-
-    inside = np.zeros(columns.shape[1], dtype=bool)
-    inside[rows] = True
-    make(1, rows, [presorted[f] for f in features], inside, 0)
     return Tree(nodes)
 
 
@@ -190,8 +190,8 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
             feats = np.sort(rng.choice(m, size=max(1, int(cfg.colsample * m)), replace=False))
         tree = _grow_tree(cols, presorted, rows, feats, g, h, cfg)
         trees.append(tree)
-        margins += _tree_predict_batch(tree, cols)
-        margins_valid += _tree_predict_batch(tree, valid_data.columns)
+        margins += tree.sweep(cols, tree.feature_set)
+        margins_valid += tree.sweep(valid_data.columns, tree.feature_set)
         vloss = eval_loss(cfg.loss, margins_valid, valid_data.response)
         if vloss < best_loss:
             best_loss = vloss

@@ -10,16 +10,18 @@ with a threshold actually occur.
 Node probabilities are marginal: the left probability of a branch node is
 the unconditional fraction of annotation-data values below its threshold,
 not a path-conditional fraction. Together with the feature-independence
-assumption this is exactly what the recursive conditional expectation
-consumes.
+assumption this is exactly what the conditional-expectation sweep
+(``Tree.sweep``) consumes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -69,11 +71,16 @@ def branch(
 
 
 class Tree:
-    """A single regression tree stored as an id-indexed node arena.
+    """A single regression tree: an id-indexed node arena for construction
+    and I/O, and a flat layout that every evaluator reads. The layout numbers
+    the nodes parents first, left subtrees first, and holds per position
+    ``feature``, ``left`` and ``right`` (-1 at leaves), ``threshold``,
+    ``value`` and ``prob_left`` (NaN where not annotated).
 
-    Trees may be ragged (leaves at different depths); the only structural
+    Trees may be ragged (leaves at different depths); the structural
     requirements are a root with id 1, existing and distinct children, and
-    acyclicity.
+    acyclicity. Thresholds and leaf values must be finite and probabilities
+    must lie in [0, 1].
     """
 
     def __init__(self, nodes: Iterable[Node]):
@@ -85,40 +92,50 @@ class Tree:
         if ROOT_ID not in arena:
             raise InputError(f"tree has no root node (id {ROOT_ID})")
         self._nodes = arena
-        self._validate()
-        feats = sorted({n.feature for n in arena.values() if not n.is_leaf})
-        self.feature_set: tuple[int, ...] = tuple(feats)
-        self.depth = self._depth_of(ROOT_ID)
-        self.n_leaves = sum(1 for n in arena.values() if n.is_leaf)
 
-    def _validate(self) -> None:
-        seen: set[int] = set()
-        stack = [ROOT_ID]
+        # One walk validates the tree and lays it out: a node's position is
+        # the order in which it leaves the stack.
+        walked: list[tuple[Node, int, int]] = []  # node, parent position, level
+        pos_of: dict[int, int] = {}
+        stack = [(ROOT_ID, -1, 0)]
         while stack:
-            nid = stack.pop()
-            if nid in seen:
+            nid, up, lvl = stack.pop()
+            if nid in pos_of:
                 raise InputError(f"cycle through node id {nid}")
-            seen.add(nid)
-            node = self._nodes[nid]
+            pos_of[nid] = len(walked)
+            node = arena[nid]
+            walked.append((node, up, lvl))
             if node.is_leaf:
+                if not math.isfinite(node.leaf_value):
+                    raise InputError(f"node {nid}: leaf value {node.leaf_value} is not finite")
                 continue
-            if np.isnan(node.threshold):
-                raise InputError(f"node {nid}: threshold is NaN")
+            if not math.isfinite(node.threshold):
+                kind = "NaN" if math.isnan(node.threshold) else "infinite"
+                raise InputError(f"node {nid}: threshold is {kind}")
+            if node.prob_left is not None and not 0.0 <= node.prob_left <= 1.0:
+                raise InputError(f"node {nid}: prob_left {node.prob_left} outside [0, 1]")
             if node.left == node.right:
                 raise InputError(f"node {nid}: children must differ")
             for child in (node.left, node.right):
-                if child not in self._nodes:
+                if child not in arena:
                     raise InputError(f"node {nid}: dangling child id {child}")
-                stack.append(child)
-        unreachable = set(self._nodes) - seen
+            stack += [(node.right, pos_of[nid], lvl + 1), (node.left, pos_of[nid], lvl + 1)]
+        unreachable = set(arena) - set(pos_of)
         if unreachable:
             raise InputError(f"unreachable node ids {sorted(unreachable)}")
 
-    def _depth_of(self, nid: int) -> int:
-        node = self._nodes[nid]
-        if node.is_leaf:
-            return 0
-        return 1 + max(self._depth_of(node.left), self._depth_of(node.right))
+        order, parent, level = zip(*walked)
+        self.feature = np.array([-1 if n.is_leaf else n.feature for n in order])
+        self.threshold = np.array([n.threshold for n in order])
+        self.left = np.array([-1 if n.is_leaf else pos_of[n.left] for n in order])
+        self.right = np.array([-1 if n.is_leaf else pos_of[n.right] for n in order])
+        self.value = np.array([n.leaf_value for n in order])
+        self.prob_left = np.array([np.nan if n.prob_left is None else n.prob_left for n in order])
+        self._parent, self._level = parent, level
+        feats = sorted({n.feature for n in order if not n.is_leaf})
+        self.feature_set: tuple[int, ...] = tuple(feats)
+        self.depth = max(level)
+        self.n_leaves = sum(n.is_leaf for n in order)
 
     def node(self, nid: int) -> Node:
         return self._nodes[nid]
@@ -135,13 +152,45 @@ class Tree:
 
     @property
     def annotated(self) -> bool:
-        return all(n.prob_left is not None for n in self._nodes.values() if not n.is_leaf)
+        return not np.isnan(self.prob_left[self.left >= 0]).any()
+
+    def sweep(self, cols: np.ndarray, known: Container[int]) -> np.ndarray | float:
+        """Evaluate the tree bottom-up on the (M, N) column matrix ``cols``: a
+        branch on a feature in ``known`` takes each row's side, any other
+        mixes its children by ``prob_left``. With every feature known this
+        is the prediction. A scalar when no branch is known, else N values.
+        """
+        vals: list = self.value.tolist()
+        at = np.flatnonzero(self.left >= 0)[::-1]
+        fields = (self.feature, self.threshold, self.left, self.right, self.prob_left)
+        for pos, f, t, l, r, p in zip(at.tolist(), *(a[at].tolist() for a in fields)):
+            lo, hi = vals[l], vals[r]
+            vals[l] = vals[r] = None
+            vals[pos] = np.where(cols[f] < t, lo, hi) if f in known else lo * p + hi * (1.0 - p)
+        return vals[0]
+
+    @cached_property
+    def leaf_paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Leaf positions in left-first order, and per leaf the positions of
+        its root-to-leaf branch steps as a (leaves, depth) array (-1 past
+        the leaf) with whether each step goes left."""
+        parent, level_of = np.array(self._parent), np.array(self._level)
+        leaves = np.flatnonzero(self.left < 0)
+        steps = np.full((len(leaves), self.depth), -1)
+        went_left = np.zeros(steps.shape, dtype=bool)
+        rows = np.flatnonzero(level_of[leaves] > 0)
+        cur = leaves[rows]
+        while len(rows):
+            up = parent[cur]
+            level = level_of[up]
+            steps[rows, level] = up
+            went_left[rows, level] = self.left[up] == cur
+            rows, cur = rows[level > 0], up[level > 0]
+        return leaves, steps, went_left
 
     def predict(self, x: Sequence[float]) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = self._nodes[node.left if x[node.feature] < node.threshold else node.right]
-        return node.leaf_value
+        out = self.sweep(np.asarray(x, dtype=np.float64)[:, None], self.feature_set)
+        return float(np.ravel(out)[0])
 
     def with_probs(self, probs: dict[int, float]) -> "Tree":
         new_nodes = [
@@ -166,6 +215,10 @@ class Ensemble:
             raise InputError(f"unknown objective {self.objective!r}")
         if not self.trees:
             raise InputError("no trees")
+        if self.n_features < 1:
+            raise InputError(f"n_features must be at least 1, got {self.n_features}")
+        if not math.isfinite(self.base_score):
+            raise InputError(f"base_score {self.base_score} is not finite")
         object.__setattr__(self, "trees", tuple(self.trees))
         for t, tree in enumerate(self.trees):
             for f in tree.feature_set:
@@ -200,22 +253,8 @@ def predict_margin_batch(ensemble: Ensemble, data: Dataset) -> np.ndarray:
     out = np.full(data.n_rows, ensemble.base_score)
     cols = data.columns
     for tree in ensemble.trees:
-        out += _tree_predict_batch(tree, cols)
+        out += tree.sweep(cols, tree.feature_set)
     return out
-
-
-def _tree_predict_batch(tree: Tree, cols: np.ndarray) -> np.ndarray:
-    def rec(nid: int) -> np.ndarray | float:
-        node = tree.node(nid)
-        if node.is_leaf:
-            return node.leaf_value
-        go_left = cols[node.feature] < node.threshold
-        return np.where(go_left, rec(node.left), rec(node.right))
-
-    result = rec(ROOT_ID)
-    if np.isscalar(result):
-        return np.full(cols.shape[1], result)
-    return result
 
 
 def trees_containing(ensemble: Ensemble, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -308,27 +347,43 @@ def write_model(ensemble: Ensemble, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def load_model(path: str | Path) -> Ensemble:
-    path = Path(path)
+def _read_json(path: Path):
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+
+
+def _ensemble(path: Path, node_lists, **fields) -> Ensemble:
+    """The ensemble of one tree per node list; errors name ``path``."""
+    trees = []
+    for t, nodes in enumerate(node_lists):
+        try:
+            trees.append(Tree(nodes))
+        except InputError as exc:
+            raise InputError(f"{path}: tree {t}: {exc}") from None
+    try:
+        return Ensemble(trees=tuple(trees), **fields)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def load_model(path: str | Path) -> Ensemble:
+    path = Path(path)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise InputError(f"{path}: unsupported model schema")
     for key in ("n_features", "objective", "base_score", "trees"):
         if key not in doc:
             raise InputError(f"{path}: missing field {key!r}")
-    trees = []
     for t, tree_doc in enumerate(doc["trees"]):
         if "nodes" not in tree_doc:
             raise InputError(f"{path}: tree {t} missing 'nodes'")
-        try:
-            trees.append(Tree(_node_from_dict(r) for r in tree_doc["nodes"]))
-        except InputError as exc:
-            raise InputError(f"{path}: tree {t}: {exc}") from None
-    return Ensemble(
-        trees=tuple(trees),
+    return _ensemble(
+        path,
+        [(_node_from_dict(r) for r in tree_doc["nodes"]) for tree_doc in doc["trees"]],
         n_features=int(doc["n_features"]),
         objective=str(doc["objective"]),
         base_score=float(doc["base_score"]),
@@ -368,28 +423,25 @@ def import_xgb_dump(
     that differs from "yes" has no counterpart here and is rejected.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: not valid JSON ({exc})") from None
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise InputError(f"{path}: expected a JSON array of trees")
     if not doc:
         raise InputError(f"{path}: no trees")
 
     max_feature = -1
-    trees = []
+    node_lists = []
     for t, root in enumerate(doc):
         nodes: list[Node] = []
-
-        def walk(rec: dict) -> None:
-            nonlocal max_feature
+        stack = [root]
+        while stack:
+            rec = stack.pop()
             if not isinstance(rec, dict) or "nodeid" not in rec:
                 raise InputError(f"{path}: tree {t}: malformed node record {rec!r}")
             nid = int(rec["nodeid"]) + 1  # dump ids are 0-based
             if "leaf" in rec:
                 nodes.append(leaf(nid, float(rec["leaf"])))
-                return
+                continue
             for key in ("split", "split_condition", "yes", "no"):
                 if key not in rec:
                     raise InputError(
@@ -406,17 +458,11 @@ def import_xgb_dump(
                 branch(nid, f, float(rec["split_condition"]),
                        int(rec["yes"]) + 1, int(rec["no"]) + 1)
             )
-            for child in rec.get("children", []):
-                walk(child)
-
-        walk(root)
-        trees.append(Tree(nodes))
+            stack += reversed(rec.get("children", []))
+        node_lists.append(nodes)
 
     if n_features is None:
         n_features = len(feature_names) if feature_names else max_feature + 1
-    return Ensemble(
-        trees=tuple(trees),
-        n_features=n_features,
-        objective=objective,
-        base_score=base_score,
+    return _ensemble(
+        path, node_lists, n_features=n_features, objective=objective, base_score=base_score
     )

@@ -63,13 +63,13 @@ def ragged_tree(rng, data, max_depth, pool):
 
 
 @st.composite
-def cases(draw):
+def cases(draw, max_depth=4):
     """(unannotated ensemble, data, k, loss) for random ragged ensembles."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(3, 6))
     n = draw(st.integers(4, 40))
     binary = draw(st.booleans())
-    depth = draw(st.integers(1, 4))
+    depth = draw(st.integers(1, max_depth))
     n_trees = draw(st.integers(1, 8))
     pool = range(draw(st.integers(1, m)))
     data = random_dataset(rng, n, m, binary_response=binary)

@@ -24,7 +24,7 @@ from subsage.errors import NumericalError
 from subsage.estimator import LossKind
 from subsage import trainer
 from subsage.trainer import TrainConfig, _grad_hess, eval_loss, train
-from subsage.tree_model import Ensemble, Tree, _tree_predict_batch, branch, leaf, write_model
+from subsage.tree_model import Ensemble, Tree, branch, leaf, write_model
 
 
 def oracle_best_split(x, g, h, lam, gamma):
@@ -105,8 +105,8 @@ def oracle_train(train_data, valid_data, cfg):
             feats = np.sort(rng.choice(m, size=max(1, int(cfg.colsample * m)), replace=False))
         tree = oracle_grow_tree(cols, rows, feats, g, h, cfg)
         trees.append(tree)
-        margins += _tree_predict_batch(tree, cols)
-        margins_valid += _tree_predict_batch(tree, valid_data.columns)
+        margins += tree.sweep(cols, tree.feature_set)
+        margins_valid += tree.sweep(valid_data.columns, tree.feature_set)
         vloss = eval_loss(cfg.loss, margins_valid, valid_data.response)
         if vloss < best_loss:
             best_loss = vloss

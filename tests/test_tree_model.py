@@ -253,6 +253,36 @@ class TestModelIO:
             load_model(path)
 
 
+def _set_node(i, **fields):
+    return lambda doc: doc["trees"][0]["nodes"][i].update(fields)
+
+
+class TestModelValidation:
+    """Values that used to load silently are rejected, naming the file and,
+    for a node, the tree and the node id."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set_node(0, prob_left=5.0), "tree 0: node 1: prob_left 5.0 outside [0, 1]"),
+            (_set_node(0, threshold=float("inf")), "tree 0: node 1: threshold is infinite"),
+            (_set_node(1, leaf=float("inf")), "tree 0: node 2: leaf value inf is not finite"),
+            (lambda doc: doc.update(n_features=0), "n_features must be at least 1, got 0"),
+            (lambda doc: doc.update(base_score=float("nan")), "base_score nan is not finite"),
+        ],
+        ids=["prob_left", "inf_threshold", "inf_leaf", "zero_features", "nan_base_score"],
+    )
+    def test_rejected_on_load(self, tmp_path, edit, message):
+        path = tmp_path / "model.json"
+        write_model(Ensemble(trees=(make_stump(0, 1.0, -1.0, 1.0),), n_features=1), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+
 def dump_xgb_json(ensemble: Ensemble) -> list:
     """Serialize an ensemble in the external dump layout for import tests."""
 

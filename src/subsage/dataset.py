@@ -135,6 +135,73 @@ class ResampleIndex:
         return cls(indices=idx, seed=seed, iteration=iteration)
 
 
+def _scan_rows(path: Path, response: str) -> tuple[list[str], np.ndarray]:
+    """Header and (rows, columns) float table of a CSV, read row by row
+    with ``csv.reader`` and ``float``. Anything wrong raises an
+    ``InputError``; a bad row or cell is named by its 1-based file row and
+    its column."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path}: empty file")
+            if response not in header:
+                raise InputError(f"{path}: missing response column {response!r}")
+            rows: list[list[float]] = []
+            for lineno, rec in enumerate(reader, start=2):
+                if len(rec) != len(header):
+                    raise InputError(
+                        f"{path}: row {lineno} has {len(rec)} cells, "
+                        f"expected {len(header)}"
+                    )
+                parsed = []
+                for name, cell in zip(header, rec):
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        raise InputError(
+                            f"{path}: parse error at row {lineno}, "
+                            f"column {name!r}: {cell!r}"
+                        ) from None
+                rows.append(parsed)
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    return header, np.asarray(rows, dtype=np.float64)
+
+
+def _parse_fast(path: Path, response: str) -> tuple[list[str], np.ndarray] | None:
+    """Header and (rows, columns) float table of a CSV, or None where
+    ``_scan_rows`` must decide. The header is read with ``csv.reader``, the
+    body by numpy's C reader streaming lines from the open file.
+
+    ``loadtxt`` rounds as ``float`` does, but it skips blank lines and
+    rejects ``1_0``, quoted cells and non-ASCII digits. So a body is taken
+    only if it parses and gives one row per line, each as wide as the
+    header; ``load_csv`` sends any error to the scanner.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+        first = next(fh, "")
+        if response not in header or not first.strip():
+            return None  # the scanner names what is missing or blank
+        lines = 1
+
+        def body():
+            nonlocal lines
+            yield first
+            for lines, line in enumerate(fh, start=2):
+                yield line
+
+        table = np.loadtxt(body(), delimiter=",", comments=None,
+                           dtype=np.float64, ndmin=2)
+    return (header, table) if table.shape == (lines, len(header)) else None
+
+
 def load_csv(
     path: str | Path,
     response: str,
@@ -145,37 +212,17 @@ def load_csv(
     ``kinds`` maps feature names to their kind; unlisted features are
     continuous. Parse failures report the 1-based file row and the column
     name. The response column is removed from the feature set.
+
+    The body is parsed by numpy's C reader; a file that reader does not
+    take as it is goes to the row scanner, which returns the same table
+    or names the first bad row and column.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if response not in header:
-            raise InputError(f"{path}: missing response column {response!r}")
-        rows: list[list[float]] = []
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(header):
-                raise InputError(
-                    f"{path}: row {lineno} has {len(rec)} cells, "
-                    f"expected {len(header)}"
-                )
-            parsed = []
-            for name, cell in zip(header, rec):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise InputError(
-                        f"{path}: parse error at row {lineno}, "
-                        f"column {name!r}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-
-    table = np.asarray(rows, dtype=np.float64)
+    try:
+        found = _parse_fast(path, response)
+    except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
+        found = None
+    header, table = found or _scan_rows(path, response)
     _check_finite(table, lambda i, j: f"{path}: row {i + 2}, column {header[j]!r}")
     table = table.T
     y_pos = header.index(response)
@@ -194,17 +241,24 @@ def load_csv(
     return Dataset(names, table[feat_idx], kind_tuple, table[y_pos])
 
 
+WRITE_CHUNK_ROWS = 1024
+
+
 def write_csv(dataset: Dataset, path: str | Path, response: str = "y") -> None:
-    """Write a Dataset as UTF-8 CSV with shortest round-trip float formatting."""
+    """Write a Dataset as UTF-8 CSV with shortest round-trip float formatting.
+
+    Rows are formatted a block of ``WRITE_CHUNK_ROWS`` at a time, so the
+    Python floats of only one block are alive at once.
+    """
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    cols, resp = dataset.columns, dataset.response
+    with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join([*dataset.feature_names, response]) + "\n")
-        cols = [c.tolist() for c in dataset.columns]
-        resp = dataset.response.tolist()
-        for i in range(dataset.n_rows):
-            cells = [repr(col[i]) for col in cols]
-            cells.append(repr(resp[i]))
-            fh.write(",".join(cells) + "\n")
+        for i in range(0, dataset.n_rows, WRITE_CHUNK_ROWS):
+            block = cols[:, i : i + WRITE_CHUNK_ROWS].T.tolist()
+            for row, y in zip(block, resp[i : i + WRITE_CHUNK_ROWS].tolist()):
+                row.append(y)
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 def split(

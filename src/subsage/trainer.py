@@ -88,6 +88,13 @@ def _best_split(xs: np.ndarray, gs: np.ndarray, hs: np.ndarray, lam: float, gamm
     cut = np.nonzero(xs[:-1] < xs[1:])[0]
     gl, hl = gs[cut], hs[cut]
     gr, hr = g_tot - gl, h_tot - hl
+    if hl[0] + lam == 0.0 or hr[-1] + lam == 0.0:
+        # A child whose hessian sum plus lambda is 0 has no Newton step; hl
+        # only grows and hr only shrinks, so the ends are the ones to check.
+        ok = (hl + lam > 0.0) & (hr + lam > 0.0)
+        if not ok.any():
+            return None
+        cut, gl, hl, gr, hr = cut[ok], gl[ok], hl[ok], gr[ok], hr[ok]
     parent = g_tot**2 / (h_tot + lam)
     gains = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent) - gamma
     best = int(np.argmax(gains))

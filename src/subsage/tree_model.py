@@ -314,23 +314,40 @@ def _node_to_dict(node: Node) -> dict:
     }
 
 
+def _typed(rec: dict, key: str, kind: type):
+    """``rec[key]`` as ``kind``, int or float. A float field also takes a
+    JSON integer; booleans, strings and other JSON types are rejected."""
+    value = rec[key]
+    allowed = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        noun = "a number" if kind is float else "an integer"
+        raise InputError(f"{key} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise InputError(f"{key} {value} is out of range") from None
+
+
 def _node_from_dict(rec: dict) -> Node:
     if not isinstance(rec, dict) or "id" not in rec:
         raise InputError(f"malformed node record: {rec!r}")
-    if "leaf" in rec:
-        return leaf(int(rec["id"]), float(rec["leaf"]))
+    nid = _typed(rec, "id", int)
     try:
+        if "leaf" in rec:
+            return leaf(nid, _typed(rec, "leaf", float))
         prob = rec.get("prob_left")
         return branch(
-            int(rec["id"]),
-            int(rec["feature"]),
-            float(rec["threshold"]),
-            int(rec["left"]),
-            int(rec["right"]),
-            None if prob is None else float(prob),
+            nid,
+            _typed(rec, "feature", int),
+            _typed(rec, "threshold", float),
+            _typed(rec, "left", int),
+            _typed(rec, "right", int),
+            None if prob is None else _typed(rec, "prob_left", float),
         )
     except KeyError as exc:
-        raise InputError(f"node record missing field {exc}") from None
+        raise InputError(f"node {nid}: missing field {exc}") from None
+    except InputError as exc:
+        raise InputError(f"node {nid}: {exc}") from None
 
 
 def write_model(ensemble: Ensemble, path: str | Path) -> None:
@@ -350,7 +367,7 @@ def write_model(ensemble: Ensemble, path: str | Path) -> None:
 def _read_json(path: Path):
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or text, or an integer too long
         raise InputError(f"{path}: not valid JSON ({exc})") from None
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply") from None
@@ -378,15 +395,24 @@ def load_model(path: str | Path) -> Ensemble:
     for key in ("n_features", "objective", "base_score", "trees"):
         if key not in doc:
             raise InputError(f"{path}: missing field {key!r}")
+    if not isinstance(doc["trees"], list):
+        raise InputError(f"{path}: trees must be a list")
     for t, tree_doc in enumerate(doc["trees"]):
-        if "nodes" not in tree_doc:
+        if not isinstance(tree_doc, dict) or "nodes" not in tree_doc:
             raise InputError(f"{path}: tree {t} missing 'nodes'")
+        if not isinstance(tree_doc["nodes"], list):
+            raise InputError(f"{path}: tree {t}: nodes must be a list")
+    try:
+        n_features = _typed(doc, "n_features", int)
+        base_score = _typed(doc, "base_score", float)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return _ensemble(
         path,
         [(_node_from_dict(r) for r in tree_doc["nodes"]) for tree_doc in doc["trees"]],
-        n_features=int(doc["n_features"]),
+        n_features=n_features,
         objective=str(doc["objective"]),
-        base_score=float(doc["base_score"]),
+        base_score=base_score,
     )
 
 
@@ -397,7 +423,7 @@ def load_model(path: str | Path) -> Ensemble:
 
 
 def _dump_feature_index(token, feature_names: Sequence[str] | None) -> int:
-    if isinstance(token, int):
+    if isinstance(token, int) and not isinstance(token, bool):
         return token
     if isinstance(token, str):
         if feature_names is not None and token in feature_names:
@@ -407,6 +433,34 @@ def _dump_feature_index(token, feature_names: Sequence[str] | None) -> int:
         if token.isdigit():
             return int(token)
     raise InputError(f"cannot map split feature {token!r} to an index")
+
+
+def _dump_node(rec: dict, feature_names: Sequence[str] | None) -> tuple[Node, list]:
+    """The native node of one dump record, and the record's children."""
+    nid = _typed(rec, "nodeid", int)
+    try:
+        if "leaf" in rec:
+            return leaf(nid + 1, _typed(rec, "leaf", float)), []  # dump ids are 0-based
+        for key in ("split", "split_condition", "yes", "no"):
+            if key not in rec:
+                raise InputError(f"missing {key!r}")
+        if "missing" in rec and rec["missing"] != rec["yes"]:
+            raise InputError(
+                "routes missing values away from the 'yes' branch; unsupported"
+            )
+        children = rec.get("children", [])
+        if not isinstance(children, list):
+            raise InputError(f"children must be a list, got {children!r}")
+        node = branch(
+            nid + 1,
+            _dump_feature_index(rec["split"], feature_names),
+            _typed(rec, "split_condition", float),
+            _typed(rec, "yes", int) + 1,
+            _typed(rec, "no", int) + 1,
+        )
+        return node, children
+    except InputError as exc:
+        raise InputError(f"node {nid}: {exc}") from None
 
 
 def import_xgb_dump(
@@ -438,27 +492,13 @@ def import_xgb_dump(
             rec = stack.pop()
             if not isinstance(rec, dict) or "nodeid" not in rec:
                 raise InputError(f"{path}: tree {t}: malformed node record {rec!r}")
-            nid = int(rec["nodeid"]) + 1  # dump ids are 0-based
-            if "leaf" in rec:
-                nodes.append(leaf(nid, float(rec["leaf"])))
-                continue
-            for key in ("split", "split_condition", "yes", "no"):
-                if key not in rec:
-                    raise InputError(
-                        f"{path}: tree {t}: node {rec['nodeid']} missing {key!r}"
-                    )
-            if "missing" in rec and rec["missing"] != rec["yes"]:
-                raise InputError(
-                    f"{path}: tree {t}: node {rec['nodeid']} routes missing "
-                    "values away from the 'yes' branch; unsupported"
-                )
-            f = _dump_feature_index(rec["split"], feature_names)
-            max_feature = max(max_feature, f)
-            nodes.append(
-                branch(nid, f, float(rec["split_condition"]),
-                       int(rec["yes"]) + 1, int(rec["no"]) + 1)
-            )
-            stack += reversed(rec.get("children", []))
+            try:
+                node, children = _dump_node(rec, feature_names)
+            except InputError as exc:
+                raise InputError(f"{path}: tree {t}: {exc}") from None
+            nodes.append(node)
+            max_feature = max(max_feature, node.feature)
+            stack += reversed(children)
         node_lists.append(nodes)
 
     if n_features is None:

@@ -160,6 +160,85 @@ class TestModelErrors:
         assert f"{dump}: JSON nested too deeply" in capsys.readouterr().err
 
 
+def _stump_doc():
+    return {
+        "version": 1, "n_features": 3, "objective": "regression", "base_score": 0.0,
+        "trees": [{"nodes": [
+            {"id": 1, "feature": 0, "threshold": 0.0, "left": 2, "right": 3},
+            {"id": 2, "leaf": -1.0},
+            {"id": 3, "leaf": 1.0},
+        ]}],
+    }
+
+
+def _node(i, **fields):
+    return lambda doc: doc["trees"][0]["nodes"][i].update(fields)
+
+
+class TestTypedModelFields:
+    """Wrongly typed model and dump fields end in exit code 2 with a
+    message naming the file and, where they exist, the tree and the node."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_node(0, threshold="abc"), "tree 0: node 1: threshold must be a number, got 'abc'"),
+            (_node(1, leaf="abc"), "tree 0: node 2: leaf must be a number, got 'abc'"),
+            (_node(0, prob_left="0.5"), "tree 0: node 1: prob_left must be a number, got '0.5'"),
+            (_node(0, left=True), "tree 0: node 1: left must be an integer, got True"),
+            (_node(0, threshold=10**400), "tree 0: node 1: threshold 1" + "0" * 400 + " is out of range"),
+            (_node(0, id="1"), "tree 0: id must be an integer, got '1'"),
+            (lambda doc: doc.update(n_features="x"), "n_features must be an integer, got 'x'"),
+            (lambda doc: doc.update(base_score=[0]), "base_score must be a number, got [0]"),
+            (lambda doc: doc.update(trees=5), "trees must be a list"),
+            (lambda doc: doc.update(trees=[5]), "tree 0 missing 'nodes'"),
+            (lambda doc: doc["trees"][0].update(nodes=3), "tree 0: nodes must be a list"),
+            (lambda doc: doc["trees"][0]["nodes"].append(7), "tree 0: malformed node record: 7"),
+        ],
+        ids=["threshold", "leaf", "prob_left", "bool_child", "huge_threshold", "id",
+             "n_features", "base_score", "trees", "tree", "nodes", "node"],
+    )
+    def test_model(self, tmp_path, rng, capsys, edit, message):
+        data = tmp_path / "data.csv"
+        write_csv(random_dataset(rng, 10, 3), data)
+        doc = _stump_doc()
+        edit(doc)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run(["rank", "--model", model, "--data", data]) == 2
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+        assert run(["subsage", "--model", model, "--test", data, "--feature", "x0",
+                    "--bootstrap", 20, "--alpha", 0.1, "--out", tmp_path / "r.json"]) == 2
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda root: root.update(nodeid="0"), "tree 0: nodeid must be an integer, got '0'"),
+            (lambda root: root["children"][1].update(leaf="abc"),
+             "tree 0: node 2: leaf must be a number, got 'abc'"),
+            (lambda root: root.update(split_condition="0.5"),
+             "tree 0: node 0: split_condition must be a number, got '0.5'"),
+            (lambda root: root.update(yes=1.0), "tree 0: node 0: yes must be an integer, got 1.0"),
+            (lambda root: root.update(no=None), "tree 0: node 0: no must be an integer, got None"),
+            (lambda root: root.update(children=5), "tree 0: node 0: children must be a list, got 5"),
+            (lambda root: root.update(split=True),
+             "tree 0: node 0: cannot map split feature True to an index"),
+        ],
+        ids=["nodeid", "leaf", "split_condition", "yes", "no", "children", "split"],
+    )
+    def test_dump(self, tmp_path, capsys, edit, message):
+        root = {
+            "nodeid": 0, "split": "f0", "split_condition": 0.5, "yes": 1, "no": 2,
+            "children": [{"nodeid": 1, "leaf": -1.0}, {"nodeid": 2, "leaf": 1.0}],
+        }
+        edit(root)
+        dump = tmp_path / "dump.json"
+        dump.write_text(json.dumps([root]))
+        assert run(["convert", "--in", dump, "--out", tmp_path / "m.json"]) == 2
+        assert capsys.readouterr().err == f"error: {dump}: {message}\n"
+
+
 class TestSubsageCommand:
     def test_report_for_unused_feature(self, small_pipeline, tmp_path, capsys):
         data_csv, model_path = small_pipeline

@@ -4,7 +4,7 @@ import pytest
 from subsage.dataset import Dataset, FeatureKind
 from subsage.errors import InputError, NumericalError
 from subsage.estimator import LossKind
-from subsage.trainer import TrainConfig, eval_loss, train
+from subsage.trainer import TrainConfig, _best_split, eval_loss, train
 from subsage.tree_model import predict_margin_batch, write_model
 
 from conftest import random_dataset
@@ -155,6 +155,37 @@ class TestTrainLogistic:
         cfg = TrainConfig(loss=LossKind.BINARY_CROSS_ENTROPY)
         with pytest.raises(InputError, match="binary"):
             train(data, data, cfg)
+
+
+class TestBestSplitZeroHessian:
+    """With reg_lambda 0, a cut whose left or right hessian sum is 0 has no
+    Newton step: the search skips it instead of dividing by zero (pytest
+    turns the RuntimeWarning of such a division into an error)."""
+
+    xs = np.array([0.0, 1.0, 2.0, 3.0])
+    gs = np.array([1.0, -1.0, 2.0, 0.5])
+
+    def test_zero_hessian_prefix_skipped(self):
+        # Cuts after rows 0 and 1 leave a left hessian sum of 0.
+        gain, t = _best_split(self.xs, self.gs, np.array([0.0, 0.0, 1.0, 1.0]), 0.0, 0.0)
+        assert t == 2.5
+        assert gain == 0.5 * (2.0**2 + 0.5**2 - 2.5**2 / 2.0)
+
+    def test_zero_hessian_suffix_skipped(self):
+        # Cuts after rows 1 and 2 leave a right hessian sum of 0.
+        gain, t = _best_split(self.xs, self.gs, np.array([1.0, 1.0, 0.0, 0.0]), 0.0, 0.0)
+        assert t == 0.5
+        assert gain == 0.5 * (1.0**2 + 1.5**2 - 2.5**2 / 2.0)
+
+    def test_all_zero_hessians_give_no_split(self):
+        assert _best_split(self.xs, self.gs, np.zeros(4), 0.0, 0.0) is None
+
+    def test_positive_lambda_keeps_every_cut(self):
+        gs, hs = np.array([3.0, 0.0, 0.0, -3.0]), np.array([0.0, 1.0, 1.0, 0.0])
+        # The cut after row 0 (left hessian sum 0) wins under lambda 1 ...
+        assert _best_split(self.xs, gs, hs, 1.0, 0.0) == (6.0, 0.5)
+        # ... and is skipped under lambda 0, as is the cut after row 2.
+        assert _best_split(self.xs, gs, hs, 0.0, 0.0) == (9.0, 1.5)
 
 
 class TestDeterminismAndStructure:

@@ -36,6 +36,10 @@ def oracle_best_split(x, g, h, lam, gamma):
     hs = np.cumsum(h[order])
     g_tot, h_tot = gs[-1], hs[-1]
     cut = np.nonzero(xs[:-1] < xs[1:])[0]
+    # A child whose hessian sum plus lambda is 0 has no Newton step.
+    cut = cut[(hs[cut] + lam > 0.0) & (h_tot - hs[cut] + lam > 0.0)]
+    if cut.size == 0:
+        return None
     gl, hl = gs[cut], hs[cut]
     gr, hr = g_tot - gl, h_tot - hl
     parent = g_tot**2 / (h_tot + lam)

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from .dataset import Dataset, ResampleIndex
 from .errors import InputError, NumericalError
@@ -99,7 +99,7 @@ def _bias_correction(draws: np.ndarray, point: float) -> float:
             "degenerate bootstrap distribution: all draws on one side of "
             "the point estimate"
         )
-    return float(stats.norm.ppf(frac))
+    return float(ndtri(frac))
 
 
 def _acceleration_from_jackknife(jackknife_values) -> float:
@@ -138,10 +138,10 @@ def bca_interval(
         denom = 1.0 - a * (z0 + z_tail)
         if denom <= 0.0:
             raise NumericalError("BCa quantile adjustment diverged")
-        return float(stats.norm.cdf(z0 + (z0 + z_tail) / denom))
+        return float(ndtr(z0 + (z0 + z_tail) / denom))
 
-    alpha1 = adjusted(float(stats.norm.ppf(alpha)))
-    alpha2 = adjusted(float(stats.norm.ppf(1.0 - alpha)))
+    alpha1 = adjusted(float(ndtri(alpha)))
+    alpha2 = adjusted(float(ndtri(1.0 - alpha)))
     s = np.sort(draws)
     return _order_stat(s, alpha1), _order_stat(s, alpha2), z0, a
 

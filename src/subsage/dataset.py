@@ -167,11 +167,28 @@ def _scan_rows(path: Path, response: str) -> tuple[list[str], np.ndarray]:
                 rows.append(parsed)
         except csv.Error as exc:
             raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
     if not rows:
         raise InputError(f"{path}: no data rows")
     return header, np.asarray(rows, dtype=np.float64)
+
+
+def _undecodable(path: Path) -> InputError:
+    """Error naming the first line of a CSV that is not UTF-8, and the byte
+    offset in the file. The text layer decodes blocks ahead of the reader,
+    so only a re-read of the bytes can place the error."""
+    offset = 0
+    for lineno, raw in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return InputError(
+                f"{path}: line {lineno}: not utf-8 text "
+                f"({exc.reason} at byte offset {offset + exc.start})"
+            )
+        offset += len(raw)
+    return InputError(f"{path}: not utf-8 text")
 
 
 def _parse_fast(path: Path, response: str) -> tuple[list[str], np.ndarray] | None:

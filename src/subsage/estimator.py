@@ -178,13 +178,9 @@ class SubSageEngine:
         # the threshold id (-1 past the leaf), split feature and direction of
         # each step; and per split feature the grid cells [lo, hi) of each
         # leaf's box.
-        depth = max(1, ensemble.max_depth)
         self._paths = []
         for tree in trees:
-            leaves, steps, went_left = tree.leaf_paths
-            path = np.full((len(leaves), depth), -1)
-            left = np.zeros(path.shape, bool)
-            path[:, : tree.depth], left[:, : tree.depth] = steps, went_left
+            leaves, path, left = tree.leaf_paths
             # Threshold id per node position, and -1 read through step -1.
             tids = np.full(len(tree.feature) + 1, -1)
             for f in tree.feature_set:
@@ -199,7 +195,7 @@ class SubSageEngine:
             }
             self._paths.append((tree.value[leaves], tid, feat, left, box))
         self._classes: dict[tuple[int, frozenset[int], float], int] = {}
-        self._leaf_value, self._factor, self._n_coef = [], [], 0
+        self._leaf_value, self._steps, self._n_steps, self._n_coef = [], [], [], 0
         self._slot, self._slot_leaf = [], []
         self._scalar_of, self._n_slots = [], 0
 
@@ -257,11 +253,20 @@ class SubSageEngine:
             self._pred = predict_margin_batch(ensemble, data)
         self._ids = np.vstack(rows)
         self._scalar_of = np.array(self._scalar_of + [-1], dtype=np.intp)
-        self._leaf_value = np.concatenate(self._leaf_value)
-        self._factor = np.hstack(self._factor)
+        # Coefficients ordered by their number of unknown steps, most first
+        # (ties in class order), so that step j of a draw multiplies a prefix.
+        steps, n_steps = np.concatenate(self._steps), np.concatenate(self._n_steps)
+        order = np.argsort(-n_steps, kind="stable")
+        first = (np.cumsum(n_steps) - n_steps)[order]
+        self._steps = [
+            steps[first[: np.count_nonzero(n_steps > j)] + j] for j in range(n_steps.max())
+        ]
+        self._leaf_value = np.concatenate(self._leaf_value)[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
         self._slot = np.concatenate(self._slot)
-        self._slot_leaf = np.concatenate(self._slot_leaf)
-        del self._paths, self._classes, self._iv
+        self._slot_leaf = rank[np.concatenate(self._slot_leaf)]
+        del self._paths, self._classes, self._iv, self._n_steps
 
     # -- build helpers -------------------------------------------------------
 
@@ -293,16 +298,19 @@ class SubSageEngine:
         return cells, {int(f): self._iv[f][first] for f in feats}
 
     def _class(self, t: int, known: frozenset[int], sign: float) -> int:
-        """Offset of class (t, known) in the per-draw leaf coefficients:
-        ``sign`` * leaf value times the probabilities of the unknown steps."""
+        """Offset of class (t, known) among the leaf coefficients, in build
+        order: ``sign`` * leaf value times the probabilities of the unknown
+        steps."""
         key = (t, known, sign)
         if key not in self._classes:
             vals, tid, feat, left, _ = self._paths[t]
-            one = 2 * len(self._p0)  # index of the constant 1.0 in the draw's factors
-            fixed = tid < 0
+            unknown = tid >= 0
             for f in known:
-                fixed |= feat == f
-            self._factor.append(np.where(fixed, one, np.where(left, tid, tid + one // 2)).T)
+                unknown &= feat != f
+            # Per leaf, its unknown steps root first as indices into the
+            # draw's (p, 1 - p); known steps would multiply by 1.0.
+            self._steps.append(np.where(left, tid, tid + len(self._p0))[unknown])
+            self._n_steps.append(unknown.sum(axis=1))
             self._classes[key] = self._n_coef
             self._n_coef += len(vals)
             self._leaf_value.append(sign * vals)
@@ -347,6 +355,16 @@ class SubSageEngine:
 
     # -- estimation ----------------------------------------------------------
 
+    def _coefficients(self, p: np.ndarray) -> np.ndarray:
+        """Leaf coefficients of every class under branch probabilities
+        ``p``, most unknown steps first: each signed leaf value times the
+        probabilities of its unknown steps, multiplied root first."""
+        pq = np.concatenate((p, 1.0 - p))
+        coef = self._leaf_value.copy()
+        for col in self._steps:
+            coef[: len(col)] *= pq[col]
+        return coef
+
     def _delta_rows(self, weights) -> np.ndarray | None:
         """Loss differences for the empty set, each used feature's
         singleton and, with two or more of those, the rest subset; None
@@ -363,10 +381,7 @@ class SubSageEngine:
             return None
         p = self._p0 if w is None else self.probs_for_weights(w)
         w = np.ones(self.n) if w is None else w
-        pp = np.concatenate((p, 1.0 - p, (1.0,)))
-        coef = self._leaf_value
-        for col in self._factor:
-            coef = coef * pp[col]
+        coef = self._coefficients(p)
         table = np.bincount(self._slot, coef[self._slot_leaf], self._n_slots + 1)
         table += table[self._scalar_of]
         table[self._empty_slot] += self.ensemble.base_score

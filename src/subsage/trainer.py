@@ -75,15 +75,13 @@ def eval_loss(loss: LossKind, margins: np.ndarray, y: np.ndarray) -> float:
 def _best_split(xs: np.ndarray, gs: np.ndarray, hs: np.ndarray, lam: float, gamma: float):
     """Best (gain, threshold) for one feature, or None.
 
-    Scans prefix sums over a node's values, gradients and hessians sorted
-    by value; candidate thresholds are midpoints between consecutive
-    distinct values, so any value equal to the left endpoint routes left
-    under the strict-below convention.
+    Scans a node's values sorted ascending with the prefix sums ``gs`` and
+    ``hs`` of its gradients and hessians in that order; candidate thresholds
+    are midpoints between consecutive distinct values, so any value equal
+    to the left endpoint routes left under the strict-below convention.
     """
     if xs[0] == xs[-1]:
         return None
-    gs = np.cumsum(gs)
-    hs = np.cumsum(hs)
     g_tot, h_tot = gs[-1], hs[-1]
     cut = np.nonzero(xs[:-1] < xs[1:])[0]
     gl, hl = gs[cut], hs[cut]
@@ -124,18 +122,28 @@ def _grow_tree(
     nodes: list[Node] = []
     inside = np.zeros(columns.shape[1], dtype=bool)
     inside[rows] = True
-    # Nodes to grow: (id, rows, parent's sorted lists, rows-inside mask, depth).
-    stack = [(1, rows, [presorted[f] for f in features], inside, 0)]
+    # Under squared loss every hessian is 1, so every feature's hessian
+    # prefix is 1..n, exact in float64 and shared by the whole node.
+    unit_h = bool((h == 1.0).all())
+    # Nodes to grow: (id, rows, parent's sorted lists as one features x rows
+    # array, rows-inside mask, depth).
+    stack = [(1, rows, presorted[features], inside, 0)]
     while stack:
         node_id, idx, lists, inside, depth = stack.pop()
-        g_sum = float(g[idx].sum())
-        h_sum = float(h[idx].sum())
         if depth < cfg.max_depth and len(idx) >= 2:
-            lists = [order[inside[order]] for order in lists]
+            # Each parent list holds every row of the node once, so each
+            # keeps exactly len(idx) entries and one compress filters all.
+            lists = np.compress(np.take(inside, lists).ravel(), lists)
+            lists = lists.reshape(len(features), len(idx))
+            h_prefix = np.arange(1.0, len(idx) + 1.0) if unit_h else None
             best = None
             for f, order in zip(features, lists):
                 found = _best_split(
-                    columns[f][order], g[order], h[order], cfg.reg_lambda, cfg.min_gain
+                    columns[f][order],
+                    np.cumsum(g[order]),
+                    h_prefix if unit_h else np.cumsum(h[order]),
+                    cfg.reg_lambda,
+                    cfg.min_gain,
                 )
                 if found is not None and (best is None or found[0] > best[0]):
                     best = (found[0], int(f), found[1])
@@ -147,6 +155,8 @@ def _grow_tree(
                 stack.append((2 * node_id + 1, idx[~keep], lists, ~go_left, depth + 1))
                 stack.append((2 * node_id, idx[keep], lists, go_left, depth + 1))
                 continue
+        g_sum = float(g[idx].sum())
+        h_sum = float(h[idx].sum())
         if h_sum + cfg.reg_lambda == 0.0:
             raise NumericalError(f"leaf {node_id} has zero hessian; use reg_lambda > 0")
         value = -g_sum / (h_sum + cfg.reg_lambda) * cfg.learning_rate

@@ -74,14 +74,30 @@ def test_corrupted_model(files, tmp_path, seed, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def undecodable_at(raw: bytes) -> str | None:
+    """Where a CSV that is not UTF-8 first fails to decode, as its error
+    message names it, or None if it decodes."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start] + b"x").splitlines())
+        return f"line {line}: not utf-8 text ({exc.reason} at byte offset {exc.start})"
+    return None
+
+
 @pytest.mark.parametrize("seed", range(CASES))
 def test_corrupted_csv(files, tmp_path, seed, capsys):
     data = tmp_path / "data.csv"
-    data.write_bytes(corrupted((files / "data.csv").read_bytes(), seed))
+    raw = corrupted((files / "data.csv").read_bytes(), seed)
+    data.write_bytes(raw)
     model = files / "model.json"
     run(rank(model, data))
     run(subsage(model, data, tmp_path / "report.json"))
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    where = undecodable_at(raw)
+    if where is not None:
+        assert err.count(f"{data}: {where}") == 2
 
 
 @pytest.mark.parametrize("seed", range(CASES))

@@ -9,6 +9,7 @@ bytes of the per-cell writer kept here as an oracle.
 
 from __future__ import annotations
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -139,7 +140,25 @@ def test_text_float_reads_comes_out_the_same(tmp_path, body):
 def test_undecodable_bytes_are_an_input_error(tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes(b"a,y\n1,2\n\xff,3\n")
-    with pytest.raises(InputError, match=f"{path}: not utf-8 text \\(invalid start byte\\)"):
+    message = f"{path}: line 3: not utf-8 text (invalid start byte at byte offset 8)"
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_csv(path, response="y")
+
+
+@pytest.mark.parametrize(
+    "raw, line, reason",
+    [
+        (b"a,y\r\n1,2\r\n3,\xc3\r\n", 3, "invalid continuation byte at byte offset 12"),
+        (b"a,y\r1,2\r3,4\r\xe9,5\r", 4, "invalid continuation byte at byte offset 12"),
+        (b"a,y\n1,\xe2\x82", 2, "unexpected end of data at byte offset 6"),
+        (b"a\xff,y\n1,2\n", 1, "invalid start byte at byte offset 1"),
+    ],
+)
+def test_undecodable_line_named_for_every_line_ending(tmp_path, raw, line, reason):
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    message = f"{path}: line {line}: not utf-8 text ({reason})"
+    with pytest.raises(InputError, match=re.escape(message)):
         load_csv(path, response="y")
 
 

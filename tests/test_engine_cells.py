@@ -164,6 +164,61 @@ def test_deltas_match_naive_loss_differences(case):
     assert_close(est.psi_hat, psi, scale)
 
 
+class PaddedEngine(SubSageEngine):
+    """The engine with its former step matrix: every coefficient's factors
+    padded to the ensemble's maximum depth, the constant 1.0 standing for
+    each known step and each step past the leaf, multiplied one depth row at
+    a time. Coefficients are returned in the engine's order: most unknown
+    steps first, ties in class order."""
+
+    def __init__(self, ensemble, data, k, loss):
+        self._depth = max(1, ensemble.max_depth)
+        self._padded, self._values = [], []
+        super().__init__(ensemble, data, k, loss)
+
+    def _class(self, t, known, sign):
+        new = (t, known, sign) not in self._classes
+        offset = super()._class(t, known, sign)
+        if new:
+            vals, tid, feat, left, _ = self._paths[t]
+            one = 2 * len(self._p0)
+            fixed = tid < 0
+            for f in known:
+                fixed |= feat == f
+            cols = np.full((len(vals), self._depth), one)
+            cols[:, : tid.shape[1]] = np.where(fixed, one, np.where(left, tid, tid + one // 2))
+            self._padded.append(cols.T)
+            self._values.append(sign * vals)
+        return offset
+
+    def _coefficients(self, p):
+        pp = np.concatenate((p, 1.0 - p, (1.0,)))
+        padded = np.hstack(self._padded)
+        coef = np.concatenate(self._values)
+        for col in padded:
+            coef = coef * pp[col]
+        order = np.argsort(-(padded < 2 * len(p)).sum(axis=0), kind="stable")
+        return coef[order]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(max_depth=6), st.integers(0, 2**32 - 1))
+def test_ragged_factors_equal_padded_loop(case, seed):
+    ens, data, k, loss = case
+    annotated = annotate_probabilities(ens, data)
+    engine = SubSageEngine(annotated, data, k, loss)
+    padded = PaddedEngine(annotated, data, k, loss)
+    if k not in engine.used_features:
+        return
+    rng = np.random.default_rng(seed)
+    for weights in (None, *(rng.integers(0, 3, data.n_rows).astype(float) for _ in range(3))):
+        if weights is not None and weights.sum() == 0:
+            continue
+        p = engine._p0 if weights is None else engine.probs_for_weights(weights)
+        np.testing.assert_array_equal(engine._coefficients(p), padded._coefficients(p))
+        assert engine.deltas_for_weights(weights) == padded.deltas_for_weights(weights)
+
+
 def test_full_depth_seven_tree():
     # 127 branch nodes: the root splits feature 0, the others split features
     # 1..42 at three thresholds each. A mixed-radix cell code over the tree's

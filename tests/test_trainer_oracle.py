@@ -10,6 +10,7 @@ positive minimum gain.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -185,8 +186,9 @@ def training_cases(draw):
 @given(training_cases())
 def test_presorted_trainer_writes_oracle_bytes(case):
     """Same model bytes, and every split search scans the same sorted
-    (values, gradients, hessians): the second check catches a wrong order
-    among tied values, which rarely changes the model."""
+    values and the prefix sums of the same sorted gradients and hessians:
+    the second check catches a wrong order among tied values, which rarely
+    changes the model."""
     train_data, valid_data, cfg = case
     seen_oracle, seen_trainer = [], []
     oracle_split, trainer_split = oracle_best_split, trainer._best_split
@@ -196,9 +198,9 @@ def test_presorted_trainer_writes_oracle_bytes(case):
         seen_oracle.append((x[order], g[order], h[order]))
         return oracle_split(x, g, h, *args)
 
-    def record_trainer(xs, gs, hs, *args):
-        seen_trainer.append((xs.copy(), gs.copy(), hs.copy()))
-        return trainer_split(xs, gs, hs, *args)
+    def record_trainer(xs, g_prefix, h_prefix, *args):
+        seen_trainer.append((xs.copy(), g_prefix.copy(), h_prefix.copy()))
+        return trainer_split(xs, g_prefix, h_prefix, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys.modules[__name__], "oracle_best_split", record_oracle)
@@ -213,7 +215,34 @@ def test_presorted_trainer_writes_oracle_bytes(case):
             return
         assert model_bytes(train(train_data, valid_data, cfg)) == expected
     assert len(seen_trainer) == len(seen_oracle)
-    for got, want in zip(seen_trainer, seen_oracle):
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+    for (xs, g_prefix, h_prefix), (x, g, h) in zip(seen_trainer, seen_oracle):
+        np.testing.assert_array_equal(xs, x)
+        np.testing.assert_array_equal(g_prefix, np.cumsum(g))
+        np.testing.assert_array_equal(h_prefix, np.cumsum(h))
 
+
+# sha256 of the model file of one small fit per loss. How the node search
+# gathers and sums its sorted inputs may change; the bytes it writes may not.
+GOLDEN_MODEL_SHA256 = {
+    LossKind.SQUARED_ERROR: "fb4b82e1bf8132a950ad9ec9f172c91318fb983d19cc33735d357f217eae5544",
+    LossKind.BINARY_CROSS_ENTROPY: "ea550cf14f358ca6e8012e5e3400b6dd15375d588e87f0a5ea4b1cebb10362b8",
+}
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_small_fit_model_bytes_pinned(loss):
+    rng = np.random.default_rng(2024)
+    kinds = ["normal", "tied", "binary", "ternary", "constant", "normal"]
+    train_data = dataset(rng, kinds, 300, loss)
+    valid_data = dataset(rng, kinds, 100, loss)
+    cfg = TrainConfig(
+        learning_rate=0.3,
+        max_depth=2,
+        subsample=0.8,
+        colsample=0.7,
+        max_rounds=20,
+        loss=loss,
+        seed=11,
+    )
+    digest = hashlib.sha256(model_bytes(train(train_data, valid_data, cfg))).hexdigest()
+    assert digest == GOLDEN_MODEL_SHA256[loss]

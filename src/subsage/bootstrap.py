@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .dataset import Dataset, ResampleIndex
+from .dataset import Dataset, ResampleIndex, check_seed
 from .errors import InputError, NumericalError
 from .estimator import LossKind, SubSageEngine
 from .tree_model import Ensemble, annotate_probabilities
@@ -44,6 +44,7 @@ class BootstrapConfig:
             raise InputError("alpha must lie in (0, 0.5)")
         if self.bca not in BCA_MODES:
             raise InputError(f"bca mode must be one of {BCA_MODES}")
+        check_seed(self.seed)
         if self.n_draws * self.alpha < 1.0:
             warnings.warn(
                 f"B*alpha = {self.n_draws * self.alpha:.3g} < 1: the lower "

@@ -20,6 +20,7 @@ from .shap_erfc import erfc, rank_features, shap_exact
 from .synthetic import SyntheticConfig, config_sidecar, generate_synthetic
 from .trainer import TrainConfig, train
 from .tree_model import (
+    OBJECTIVES,
     annotate_probabilities,
     import_xgb_dump,
     load_model,
@@ -118,8 +119,7 @@ def build_parser() -> _Parser:
     cv = sub.add_parser("convert", help="convert a boosted-tree JSON dump")
     cv.add_argument("--in", dest="src", required=True)
     cv.add_argument("--out", required=True)
-    cv.add_argument("--objective", choices=("regression", "binary-logistic"),
-                    default="regression")
+    cv.add_argument("--objective", choices=OBJECTIVES, default="regression")
     cv.add_argument("--base-score", type=float, default=0.0)
     cv.add_argument("--n-features", type=int, default=None)
     return parser

@@ -45,10 +45,7 @@ def cond_exp_batch(
     Column tau holds the expectation of tree tau given that the features in
     ``subset`` take each row's observed values.
     """
-    if data.n_cols != ensemble.n_features:
-        raise InputError(
-            f"dataset has {data.n_cols} features, model expects {ensemble.n_features}"
-        )
+    ensemble.check_width(data)
     known = frozenset(subset)
     for f in known:
         if f < 0 or f >= ensemble.n_features:

@@ -46,6 +46,12 @@ class FeatureKind(Enum):
             )
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a seed that numpy's generators do not take."""
+    if seed < 0:
+        raise InputError(f"{name} must be non-negative, got {seed}")
+
+
 def _check_finite(table: np.ndarray, where) -> None:
     """Reject the first NaN or +-inf of a 2-D array in row-major order,
     naming it by ``where(i, j)``."""
@@ -261,8 +267,9 @@ def load_csv(
 WRITE_CHUNK_ROWS = 1024
 
 
-def write_csv(dataset: Dataset, path: str | Path, response: str = "y") -> None:
-    """Write a Dataset as UTF-8 CSV with shortest round-trip float formatting.
+def write_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write a Dataset as UTF-8 CSV with shortest round-trip float formatting,
+    the response last in a column named ``y``.
 
     Rows are formatted a block of ``WRITE_CHUNK_ROWS`` at a time, so the
     Python floats of only one block are alive at once.
@@ -270,7 +277,7 @@ def write_csv(dataset: Dataset, path: str | Path, response: str = "y") -> None:
     path = Path(path)
     cols, resp = dataset.columns, dataset.response
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([*dataset.feature_names, response]) + "\n")
+        fh.write(",".join([*dataset.feature_names, "y"]) + "\n")
         for i in range(0, dataset.n_rows, WRITE_CHUNK_ROWS):
             block = cols[:, i : i + WRITE_CHUNK_ROWS].T.tolist()
             for row, y in zip(block, resp[i : i + WRITE_CHUNK_ROWS].tolist()):
@@ -288,10 +295,11 @@ def split(
     Row ids are shuffled with a seeded generator and cut at the fraction
     boundaries; leftover rows (from flooring) go to the earliest fractions.
     """
-    if any(f <= 0 for f in fractions):
+    if not all(f > 0 for f in fractions):  # NaN is not positive either
         raise InputError("split fractions must be positive")
     if abs(sum(fractions) - 1.0) > 1e-12:
         raise InputError(f"split fractions must sum to 1, got {sum(fractions)}")
+    check_seed(seed)
     n = dataset.n_rows
     sizes = [int(n * f) for f in fractions]
     for i in range(n - sum(sizes)):

@@ -49,7 +49,7 @@ class LossKind(Enum):
     BINARY_CROSS_ENTROPY = "binary_cross_entropy"
 
 
-_LOSS_OBJECTIVE = {
+LOSS_OBJECTIVE = {
     LossKind.SQUARED_ERROR: "regression",
     LossKind.BINARY_CROSS_ENTROPY: "binary-logistic",
 }
@@ -122,14 +122,9 @@ class SubSageEngine:
     def __init__(self, ensemble: Ensemble, data: Dataset, k: int, loss: LossKind):
         if not ensemble.annotated:
             raise InputError("ensemble is not probability-annotated")
-        if data.n_cols != ensemble.n_features:
-            raise InputError(
-                f"dataset has {data.n_cols} features, model expects "
-                f"{ensemble.n_features}"
-            )
-        if k < 0 or k >= ensemble.n_features:
-            raise InputError(f"feature index {k} out of range")
-        want = _LOSS_OBJECTIVE[loss]
+        ensemble.check_width(data)
+        tau, _ = trees_containing(ensemble, k)
+        want = LOSS_OBJECTIVE[loss]
         if ensemble.objective != want:
             raise InputError(
                 f"{loss.value} requires objective {want!r}, "
@@ -147,11 +142,10 @@ class SubSageEngine:
         self.used_features = frozenset(f for tree in trees for f in tree.feature_set)
         # Features whose singleton has its own delta: those some tree uses.
         self._singles = sorted(self.used_features - {k})
-        if k not in self.used_features:
+        if not tau:
             return  # no tree splits on k: every estimate is exactly zero
         s = len(self._singles)
         self._rest_row = s + 1 if s > 1 else s
-        tau, _ = trees_containing(ensemble, k)
         with_m = {m: [t for t in tau if m in trees[t].feature_set] for m in self._singles}
         # Singletons of features sharing a tree with k first: their d^{m}
         # differs from d^{} by a correction over those trees.
@@ -159,16 +153,22 @@ class SubSageEngine:
         self._n_pairs = sum(map(bool, with_m.values()))
 
         # Distinct (feature, threshold) pairs grouped by feature, k first,
-        # sorted by threshold; p0 keeps the first such node's annotation.
-        first_p: dict[tuple[int, float], float] = {}
+        # sorted by threshold; p0 is the annotation their nodes must share.
+        p_of: dict[tuple[int, float], float] = {}
         for tree in trees:
-            for node in tree.branch_nodes():
-                first_p.setdefault((node.feature, node.threshold), node.prob_left)
+            at = tree.left >= 0
+            fields = (tree.feature[at], tree.threshold[at], tree.prob_left[at])
+            for f, t, p in zip(*(a.tolist() for a in fields)):
+                if p_of.setdefault((f, t), p) != p:
+                    raise InputError(
+                        f"nodes splitting feature {f} at {t!r} disagree on prob_left "
+                        f"({p_of[f, t]!r} vs {p!r})"
+                    )
         feats = [k, *self._singles]
-        grids = {g: np.unique([t for f, t in first_p if f == g]) for g in feats}
+        grids = {g: np.unique([t for f, t in p_of if f == g]) for g in feats}
         sizes = np.array([len(grids[f]) for f in feats])
         thr0 = dict(zip(feats, np.cumsum(sizes) - sizes))
-        self._p0 = np.array([first_p[(f, t)] for f in feats for t in grids[f]])
+        self._p0 = np.array([p_of[(f, t)] for f in feats for t in grids[f]])
         self._thr_feat = np.repeat(feats, sizes)
         self._thr_rank = np.concatenate([np.arange(m) for m in sizes])
         # Grid cell of each row: the number of thresholds at or below it.
@@ -447,37 +447,29 @@ class SubSageEngine:
 # ---------------------------------------------------------------------------
 
 
-def _validate_member(family: SubsetFamily, subset: frozenset[int]) -> None:
-    if subset not in family.subsets:
-        raise InputError(
-            f"subset {sorted(subset)} is not in Q_{family.feature} "
-            f"(empty, singletons, or all-but-{family.feature})"
-        )
-
-
-def delta_loss_squared(
-    ensemble: Ensemble, k: int, subset, test: Dataset
-) -> float:
-    """Estimated squared-error loss reduction from adding feature k to S."""
-    engine = SubSageEngine(ensemble, test, k, LossKind.SQUARED_ERROR)
+def _delta(ensemble: Ensemble, k: int, subset, test: Dataset, loss: LossKind) -> float:
+    engine = SubSageEngine(ensemble, test, k, loss)
     subset = frozenset(subset)
-    _validate_member(engine.family, subset)
+    if subset not in engine.family.subsets:
+        raise InputError(
+            f"subset {sorted(subset)} is not in Q_{k} (empty, singletons, or all-but-{k})"
+        )
     return engine.deltas_for_weights()[subset]
 
 
-def delta_loss_cross_entropy(
-    ensemble: Ensemble, k: int, subset, test: Dataset
-) -> float:
+def delta_loss_squared(ensemble: Ensemble, k: int, subset, test: Dataset) -> float:
+    """Estimated squared-error loss reduction from adding feature k to S."""
+    return _delta(ensemble, k, subset, test, LossKind.SQUARED_ERROR)
+
+
+def delta_loss_cross_entropy(ensemble: Ensemble, k: int, subset, test: Dataset) -> float:
     """Estimated cross-entropy loss reduction from adding feature k to S.
 
     The loss is evaluated in margin space: conditional expectations of
     margins are taken first and the binary cross-entropy is applied outside
     the expectation, never through the sigmoid.
     """
-    engine = SubSageEngine(ensemble, test, k, LossKind.BINARY_CROSS_ENTROPY)
-    subset = frozenset(subset)
-    _validate_member(engine.family, subset)
-    return engine.deltas_for_weights()[subset]
+    return _delta(ensemble, k, subset, test, LossKind.BINARY_CROSS_ENTROPY)
 
 
 def subsage_estimate(
@@ -507,16 +499,14 @@ def subsage_stumps(ensemble: Ensemble, k: int, test: Dataset) -> SubSageEstimate
         raise InputError("stump closed form requires every tree depth <= 1")
     if test.n_rows < 2:
         raise InputError("stump closed form needs at least 2 rows")
-    if k < 0 or k >= ensemble.n_features:
-        raise InputError(f"feature index {k} out of range")
+    tau, _ = trees_containing(ensemble, k)
 
     n = test.n_rows
     g = np.zeros(n)
     anchor = 0.0
-    for tree in ensemble.trees:
-        if k in tree.feature_set:
-            g += tree.sweep(test.columns, (k,))
-            anchor += tree.sweep(test.columns, ())
+    for tree in (ensemble.trees[t] for t in tau):
+        g += tree.sweep(test.columns, (k,))
+        anchor += tree.sweep(test.columns, ())
 
     y = test.response
     centered_y = y - y.mean()

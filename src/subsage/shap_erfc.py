@@ -61,10 +61,7 @@ def shap_exact(ensemble: Ensemble, data: Dataset) -> ShapMatrix:
     """
     if not ensemble.annotated:
         raise InputError("ensemble is not probability-annotated")
-    if data.n_cols != ensemble.n_features:
-        raise InputError(
-            f"dataset has {data.n_cols} features, model expects {ensemble.n_features}"
-        )
+    ensemble.check_width(data)
     n = data.n_rows
     phi = np.zeros((n, ensemble.n_features))
     phi0 = ensemble.base_score

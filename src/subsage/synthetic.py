@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .dataset import Dataset, FeatureKind
+from .dataset import Dataset, FeatureKind, check_seed
 from .errors import InputError
 
 # Fixed distribution constants of the signal features.
@@ -62,6 +62,10 @@ class SyntheticConfig:
     def __post_init__(self):
         if self.n < 1:
             raise InputError("sample count must be at least 1")
+        check_seed(self.seed)
+        check_seed(self.noise_seed, "noise_seed")
+        if not 0.0 <= self.sigma_eps < math.inf:
+            raise InputError(f"sigma_eps must be finite and non-negative, got {self.sigma_eps}")
 
     @property
     def n_features(self) -> int:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, check_seed
 from .errors import InputError, NumericalError
-from .estimator import LossKind
+from .estimator import LOSS_OBJECTIVE, LossKind
 from .tree_model import Ensemble, Node, Tree, branch, leaf
 
 
@@ -48,6 +48,7 @@ class TrainConfig:
             raise InputError("max_rounds must be at least 1")
         if self.early_stopping_rounds < 0:
             raise InputError("early_stopping_rounds must be non-negative (0 disables it)")
+        check_seed(self.seed)
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
@@ -182,10 +183,8 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
         if pbar in (0.0, 1.0):
             raise InputError("degenerate single-valued response")
         base = float(np.log(pbar / (1.0 - pbar)))
-        objective = "binary-logistic"
     else:
         base = float(y.mean())
-        objective = "regression"
 
     n, m = train_data.n_rows, train_data.n_cols
     cols = train_data.columns
@@ -220,6 +219,6 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
     return Ensemble(
         trees=tuple(trees),
         n_features=m,
-        objective=objective,
+        objective=LOSS_OBJECTIVE[cfg.loss],
         base_score=base,
     )

@@ -240,6 +240,13 @@ class Ensemble:
     def max_depth(self) -> int:
         return max(t.depth for t in self.trees)
 
+    def check_width(self, data: Dataset) -> None:
+        """Reject ``data`` unless it has one column per model feature."""
+        if data.n_cols != self.n_features:
+            raise InputError(
+                f"dataset has {data.n_cols} features, model expects {self.n_features}"
+            )
+
 
 def predict_margin(ensemble: Ensemble, x: Sequence[float]) -> float:
     """Raw additive output for one feature row."""
@@ -262,8 +269,8 @@ def trees_containing(ensemble: Ensemble, k: int) -> tuple[tuple[int, ...], tuple
     if k < 0 or k >= ensemble.n_features:
         raise InputError(f"feature index {k} out of range")
     inside = tuple(t for t, tree in enumerate(ensemble.trees) if k in tree.feature_set)
-    outside = tuple(t for t in range(ensemble.n_trees) if t not in set(inside))
-    return inside, outside
+    skip = set(inside)
+    return inside, tuple(t for t in range(ensemble.n_trees) if t not in skip)
 
 
 def annotate_probabilities(ensemble: Ensemble, data: Dataset) -> Ensemble:
@@ -275,10 +282,7 @@ def annotate_probabilities(ensemble: Ensemble, data: Dataset) -> Ensemble:
     pure function of (structure, data); annotating twice with the same data
     yields identical probabilities.
     """
-    if data.n_cols != ensemble.n_features:
-        raise InputError(
-            f"dataset has {data.n_cols} features, model expects {ensemble.n_features}"
-        )
+    ensemble.check_width(data)
     annotated = []
     for tree in ensemble.trees:
         probs = {
@@ -422,12 +426,10 @@ def load_model(path: str | Path) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 
-def _dump_feature_index(token, feature_names: Sequence[str] | None) -> int:
+def _dump_feature_index(token) -> int:
     if isinstance(token, int) and not isinstance(token, bool):
         return token
     if isinstance(token, str):
-        if feature_names is not None and token in feature_names:
-            return list(feature_names).index(token)
         if token.startswith("f") and token[1:].isdigit():
             return int(token[1:])
         if token.isdigit():
@@ -435,7 +437,7 @@ def _dump_feature_index(token, feature_names: Sequence[str] | None) -> int:
     raise InputError(f"cannot map split feature {token!r} to an index")
 
 
-def _dump_node(rec: dict, feature_names: Sequence[str] | None) -> tuple[Node, list]:
+def _dump_node(rec: dict) -> tuple[Node, list]:
     """The native node of one dump record, and the record's children."""
     nid = _typed(rec, "nodeid", int)
     try:
@@ -453,7 +455,7 @@ def _dump_node(rec: dict, feature_names: Sequence[str] | None) -> tuple[Node, li
             raise InputError(f"children must be a list, got {children!r}")
         node = branch(
             nid + 1,
-            _dump_feature_index(rec["split"], feature_names),
+            _dump_feature_index(rec["split"]),
             _typed(rec, "split_condition", float),
             _typed(rec, "yes", int) + 1,
             _typed(rec, "no", int) + 1,
@@ -468,7 +470,6 @@ def import_xgb_dump(
     objective: str = "regression",
     base_score: float = 0.0,
     n_features: int | None = None,
-    feature_names: Sequence[str] | None = None,
 ) -> Ensemble:
     """Convert a boosted-tree JSON dump into the native representation.
 
@@ -493,7 +494,7 @@ def import_xgb_dump(
             if not isinstance(rec, dict) or "nodeid" not in rec:
                 raise InputError(f"{path}: tree {t}: malformed node record {rec!r}")
             try:
-                node, children = _dump_node(rec, feature_names)
+                node, children = _dump_node(rec)
             except InputError as exc:
                 raise InputError(f"{path}: tree {t}: {exc}") from None
             nodes.append(node)
@@ -502,7 +503,7 @@ def import_xgb_dump(
         node_lists.append(nodes)
 
     if n_features is None:
-        n_features = len(feature_names) if feature_names else max_feature + 1
+        n_features = max_feature + 1
     return _ensemble(
         path, node_lists, n_features=n_features, objective=objective, base_score=base_score
     )

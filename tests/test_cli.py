@@ -107,6 +107,34 @@ class TestTrainCommand:
         assert model.n_trees == 25
 
 
+@pytest.mark.parametrize("command, flags, field", [
+    ("simulate", ["--seed", "-1"], "seed"),
+    ("simulate", ["--noise-seed", "-3"], "noise_seed"),
+    ("simulate", ["--sigma-eps", "-1"], "sigma_eps"),
+    ("simulate", ["--sigma-eps", "nan"], "sigma_eps"),
+    ("train", ["--seed", "-2"], "seed"),
+    ("subsage", ["--seed", "-4"], "seed"),
+])
+def test_bad_seed_or_scale_is_data_error(tmp_path, capsys, command, flags, field):
+    data_csv, model, out = tmp_path / "synthetic.csv", tmp_path / "model.json", tmp_path / "out"
+    if command != "simulate":
+        assert run(["simulate", "--n", 40, "--seed", 1, "--out-dir", tmp_path]) == 0
+        assert run(["train", "--train", data_csv, "--valid", data_csv, "--rounds", 2,
+                    "--out", model]) == 0
+    argv = {
+        "simulate": ["simulate", "--n", 40, "--out-dir", out],
+        "train": ["train", "--train", data_csv, "--valid", data_csv, "--out", out],
+        "subsage": ["subsage", "--model", model, "--test", data_csv, "--feature", "x1",
+                    "--bootstrap", 4, "--alpha", "0.25", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(["--quiet", *argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestRank:
     def test_outputs_requested_rows(self, small_pipeline, capsys):
         data_csv, model_path = small_pipeline

@@ -118,6 +118,17 @@ class TestSplit:
         with pytest.raises(InputError, match="positive"):
             split(data, (1.2, -0.1, -0.1), seed=0)
 
+    @pytest.mark.parametrize("fractions, seed, message", [
+        ((float("nan"), 0.5, 0.5), 0, "split fractions must be positive"),
+        ((0.5, float("nan"), 0.5), 0, "split fractions must be positive"),
+        ((0.5, 0.3, 0.2), -1, "seed must be non-negative, got -1"),
+    ])
+    def test_nan_fraction_and_negative_seed(self, rng, fractions, seed, message):
+        data = random_dataset(rng, 10, 2)
+        with pytest.raises(InputError) as exc:
+            split(data, fractions, seed)
+        assert str(exc.value) == message
+
 
 class TestResample:
     def test_identity_permutation(self, rng):

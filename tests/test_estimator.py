@@ -16,7 +16,7 @@ from subsage.estimator import (
     subsage_estimate,
     subsage_stumps,
 )
-from subsage.tree_model import Ensemble, annotate_probabilities
+from subsage.tree_model import Ensemble, Tree, annotate_probabilities, branch, leaf
 
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
 
@@ -312,6 +312,31 @@ class TestSubsageEstimate:
         y = data.response
         grand = float(np.mean((y - v_empty) ** 2) - np.mean((y - v_full) ** 2))
         assert abs(total - grand) > 1e-6
+
+
+class TestDisagreeingAnnotation:
+    """The engine takes one probability per (feature, threshold), so nodes
+    that share a split must share its annotation."""
+
+    def _stumps(self, p_a, p_b):
+        def stump(f, p, lo, hi):
+            return Tree([branch(1, f, 0.0, 2, 3, p), leaf(2, lo), leaf(3, hi)])
+
+        trees = (stump(0, p_a, -1.0, 1.0), stump(0, p_b, -0.5, 0.5), stump(1, 0.5, 0.2, -0.2))
+        return Ensemble(trees=trees, n_features=3)
+
+    def test_rejected(self, rng):
+        data = random_dataset(rng, 200, 3)
+        with pytest.raises(InputError) as exc:
+            subsage_estimate(self._stumps(0.3, 0.7), 0, data, LossKind.SQUARED_ERROR)
+        message = "nodes splitting feature 0 at 0.0 disagree on prob_left (0.3 vs 0.7)"
+        assert str(exc.value) == message
+
+    def test_agreeing_hand_annotation_matches_naive(self, rng):
+        data = random_dataset(rng, 200, 3)
+        ens = self._stumps(0.3, 0.3)
+        got = subsage_estimate(ens, 0, data, LossKind.SQUARED_ERROR).psi_hat
+        assert got == pytest.approx(naive_psi(ens, 0, data, LossKind.SQUARED_ERROR), abs=1e-12)
 
 
 class TestWeightedPathEquivalence:

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from subsage.cond_expect import cond_exp_batch
 from subsage.dataset import Dataset, FeatureKind, empirical_prob_below, resample, ResampleIndex
 from subsage.errors import InputError
+from subsage.estimator import LossKind, SubSageEngine, subsage_stumps
+from subsage.shap_erfc import shap_exact
 from subsage.tree_model import (
     Ensemble,
     Tree,
@@ -182,6 +185,37 @@ class TestAnnotate:
         ens = single_leaf_ensemble()
         with pytest.raises(InputError, match="features"):
             annotate_probabilities(ens, data)
+
+
+class TestSharedMessages:
+    """Each check has one home; every caller raises its exact message."""
+
+    @pytest.mark.parametrize("call", [
+        annotate_probabilities,
+        lambda ens, data: cond_exp_batch(ens, (), data),
+        shap_exact,
+        lambda ens, data: SubSageEngine(ens, data, 0, LossKind.SQUARED_ERROR),
+    ], ids=["annotate", "cond_exp_batch", "shap_exact", "engine"])
+    def test_narrow_dataset(self, rng, call):
+        data = random_dataset(rng, 20, 4)
+        ens = annotate_probabilities(random_ensemble(rng, data, 3, 2), data)
+        narrow = Dataset(data.feature_names[:3], data.columns[:3], data.kinds[:3], data.response)
+        with pytest.raises(InputError) as exc:
+            call(ens, narrow)
+        assert str(exc.value) == "dataset has 3 features, model expects 4"
+
+    @pytest.mark.parametrize("call", [
+        lambda ens, data, k: SubSageEngine(ens, data, k, LossKind.SQUARED_ERROR),
+        lambda ens, data, k: subsage_stumps(ens, k, data),
+        lambda ens, data, k: trees_containing(ens, k),
+    ], ids=["engine", "subsage_stumps", "trees_containing"])
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_feature_out_of_range(self, rng, call, k):
+        data = random_dataset(rng, 20, 4)
+        ens = annotate_probabilities(random_ensemble(rng, data, 3, 1), data)
+        with pytest.raises(InputError) as exc:
+            call(ens, data, k)
+        assert str(exc.value) == f"feature index {k} out of range"
 
 
 class TestModelIO:

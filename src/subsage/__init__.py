@@ -27,12 +27,10 @@ from .estimator import (
     SubsetFamily,
     SubSageEstimate,
     build_subset_family,
-    delta_loss_cross_entropy,
-    delta_loss_squared,
     subsage_estimate,
     subsage_stumps,
 )
-from .shap_erfc import ErfcScores, ShapMatrix, erfc, rank_features, shap_exact
+from .shap_erfc import ShapMatrix, erfc, rank_features, shap_exact
 from .synthetic import (
     SyntheticConfig,
     TrueMoments,

@@ -17,7 +17,7 @@ from .dataset import load_csv, write_csv
 from .errors import InputError, NumericalError
 from .estimator import LossKind
 from .shap_erfc import erfc, rank_features, shap_exact
-from .synthetic import SyntheticConfig, config_sidecar, generate_synthetic
+from .synthetic import COEFFICIENTS, SyntheticConfig, config_sidecar, generate_synthetic
 from .trainer import TrainConfig, train
 from .tree_model import (
     OBJECTIVES,
@@ -41,8 +41,7 @@ _LOSS_BY_NAME = {
 
 
 class _UsageExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +71,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--n", type=_positive_int, required=True)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out-dir", default=".")
-    for name in ("a0", "a1", "a2", "a21", "a3", "a4", "a5", "a6", "sigma-eps"):
+    for name in (*COEFFICIENTS, "sigma-eps"):
         sim.add_argument(f"--{name}", type=float, default=None)
     sim.add_argument("--noise-seed", type=int, default=None)
 
@@ -127,7 +126,7 @@ def build_parser() -> _Parser:
 
 def _cmd_simulate(args) -> int:
     overrides = {}
-    for name in ("a0", "a1", "a2", "a21", "a3", "a4", "a5", "a6"):
+    for name in COEFFICIENTS:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
@@ -172,10 +171,10 @@ def _cmd_rank(args) -> int:
     model = load_model(args.model)
     data = load_csv(args.data, response=args.response)
     annotated = annotate_probabilities(model, data)
-    scores = erfc(shap_exact(annotated, data))
+    kappa = erfc(shap_exact(annotated, data))
     print("feature_name,kappa")
-    for k, kappa in rank_features(scores, min(args.top, data.n_cols)):
-        print(f"{data.feature_names[k]},{kappa!r}")
+    for k, score in rank_features(kappa, min(args.top, data.n_cols)):
+        print(f"{data.feature_names[k]},{score!r}")
     return EXIT_OK
 
 

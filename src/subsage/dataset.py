@@ -10,11 +10,10 @@ to share across threads; resampling always materializes a fresh replicate.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,26 +23,12 @@ from .errors import InputError
 class FeatureKind(Enum):
     """Generative family of a feature column.
 
-    The kind affects only validation and synthetic generation; tree
+    Only synthetic generation sets a kind other than continuous; tree
     traversal treats every column as a float.
     """
 
     CONTINUOUS = "continuous"
     ORDINAL_COUNT = "ordinal-count"
-    BINARY_COUNT = "binary-count"
-
-    def validate(self, value: float, where: str) -> None:
-        if self is FeatureKind.CONTINUOUS:
-            return
-        if value < 0 or value != math.floor(value):
-            raise InputError(
-                f"{where}: {self.value} feature requires a non-negative "
-                f"integer, got {value!r}"
-            )
-        if self is FeatureKind.BINARY_COUNT and value > 1:
-            raise InputError(
-                f"{where}: binary-count feature must be 0 or 1, got {value!r}"
-            )
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
@@ -130,15 +115,13 @@ class ResampleIndex:
     (seed, iteration)."""
 
     indices: np.ndarray
-    seed: int
-    iteration: int
 
     @classmethod
     def draw(cls, n_rows: int, seed: int, iteration: int) -> "ResampleIndex":
         rng = np.random.default_rng([seed, iteration])
         idx = rng.integers(0, n_rows, size=n_rows)
         idx.setflags(write=False)
-        return cls(indices=idx, seed=seed, iteration=iteration)
+        return cls(idx)
 
 
 def _scan_rows(path: Path, response: str) -> tuple[list[str], np.ndarray]:
@@ -225,15 +208,20 @@ def _parse_fast(path: Path, response: str) -> tuple[list[str], np.ndarray] | Non
     return (header, table) if table.shape == (lines, len(header)) else None
 
 
-def load_csv(
-    path: str | Path,
-    response: str,
-    kinds: Mapping[str, FeatureKind] | None = None,
-) -> Dataset:
+def _check_unique(path: Path, names: Sequence[str]) -> None:
+    """Reject the first column name that repeats an earlier one."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise InputError(f"{path}: duplicate column name {name!r}")
+        seen.add(name)
+
+
+def load_csv(path: str | Path, response: str) -> Dataset:
     """Read a numeric, comma-separated, header-first CSV into a Dataset.
 
-    ``kinds`` maps feature names to their kind; unlisted features are
-    continuous. Parse failures report the 1-based file row and the column
+    Every feature column loads as continuous. Column names must be
+    distinct. Parse failures report the 1-based file row and the column
     name. The response column is removed from the feature set.
 
     The body is parsed by numpy's C reader; a file that reader does not
@@ -246,22 +234,14 @@ def load_csv(
     except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
         found = None
     header, table = found or _scan_rows(path, response)
+    _check_unique(path, header)
     _check_finite(table, lambda i, j: f"{path}: row {i + 2}, column {header[j]!r}")
     table = table.T
     y_pos = header.index(response)
     feat_idx = [i for i in range(len(header)) if i != y_pos]
     names = tuple(header[i] for i in feat_idx)
-    kinds = dict(kinds or {})
-    unknown = set(kinds) - set(names)
-    if unknown:
-        raise InputError(f"{path}: kinds given for unknown columns {sorted(unknown)}")
-    kind_tuple = tuple(kinds.get(n, FeatureKind.CONTINUOUS) for n in names)
-    for j, (name, kind) in enumerate(zip(names, kind_tuple)):
-        if kind is not FeatureKind.CONTINUOUS:
-            col = table[feat_idx[j]]
-            for i, v in enumerate(col):
-                kind.validate(v, f"{path}: row {i + 2}, column {name!r}")
-    return Dataset(names, table[feat_idx], kind_tuple, table[y_pos])
+    kinds = (FeatureKind.CONTINUOUS,) * len(names)
+    return Dataset(names, table[feat_idx], kinds, table[y_pos])
 
 
 WRITE_CHUNK_ROWS = 1024
@@ -269,15 +249,17 @@ WRITE_CHUNK_ROWS = 1024
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a Dataset as UTF-8 CSV with shortest round-trip float formatting,
-    the response last in a column named ``y``.
+    the response last in a column named ``y``; no feature may share that name.
 
     Rows are formatted a block of ``WRITE_CHUNK_ROWS`` at a time, so the
     Python floats of only one block are alive at once.
     """
     path = Path(path)
+    header = [*dataset.feature_names, "y"]
+    _check_unique(path, header)
     cols, resp = dataset.columns, dataset.response
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([*dataset.feature_names, "y"]) + "\n")
+        fh.write(",".join(header) + "\n")
         for i in range(0, dataset.n_rows, WRITE_CHUNK_ROWS):
             block = cols[:, i : i + WRITE_CHUNK_ROWS].T.tolist()
             for row, y in zip(block, resp[i : i + WRITE_CHUNK_ROWS].tolist()):

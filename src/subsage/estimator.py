@@ -36,8 +36,6 @@ __all__ = [
     "SubsetFamily",
     "SubSageEstimate",
     "build_subset_family",
-    "delta_loss_squared",
-    "delta_loss_cross_entropy",
     "subsage_estimate",
     "subsage_stumps",
     "SubSageEngine",
@@ -59,7 +57,6 @@ LOSS_OBJECTIVE = {
 class SubsetFamily:
     """The coalition family Q_k with per-subset weights summing to one."""
 
-    feature: int
     n_features: int
     subsets: tuple[frozenset[int], ...]
     weights: tuple[float, ...]
@@ -71,7 +68,6 @@ class SubSageEstimate:
 
     psi_hat: float
     per_subset_deltas: dict[frozenset[int], float]
-    n_test: int
 
 
 def build_subset_family(m: int, k: int) -> SubsetFamily:
@@ -89,7 +85,6 @@ def build_subset_family(m: int, k: int) -> SubsetFamily:
     others = [j for j in range(m) if j != k]
     single = 1.0 / (3 * (m - 1))
     return SubsetFamily(
-        feature=k,
         n_features=m,
         subsets=(frozenset(), *(frozenset((j,)) for j in others), frozenset(others)),
         weights=(1.0 / 3, *(single for _ in others), 1.0 / 3),
@@ -123,6 +118,8 @@ class SubSageEngine:
         if not ensemble.annotated:
             raise InputError("ensemble is not probability-annotated")
         ensemble.check_width(data)
+        if data.n_rows < 1:
+            raise InputError("sub-SAGE estimate needs at least 1 row")
         tau, _ = trees_containing(ensemble, k)
         want = LOSS_OBJECTIVE[loss]
         if ensemble.objective != want:
@@ -428,48 +425,17 @@ class SubSageEngine:
             for s in self.family.subsets
         }
 
-    def deltas_for_weights(self, weights: np.ndarray | None = None) -> dict[frozenset[int], float]:
-        """Estimated loss difference for every subset in Q_k."""
-        return self._by_subset(self._delta_rows(weights))
-
     def psi_for_weights(self, weights: np.ndarray | None = None) -> float:
         return self._psi(self._delta_rows(weights))
 
     def estimate(self, weights: np.ndarray | None = None) -> SubSageEstimate:
         delta = self._delta_rows(weights)
-        return SubSageEstimate(
-            psi_hat=self._psi(delta), per_subset_deltas=self._by_subset(delta), n_test=self.n
-        )
+        return SubSageEstimate(psi_hat=self._psi(delta), per_subset_deltas=self._by_subset(delta))
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def _delta(ensemble: Ensemble, k: int, subset, test: Dataset, loss: LossKind) -> float:
-    engine = SubSageEngine(ensemble, test, k, loss)
-    subset = frozenset(subset)
-    if subset not in engine.family.subsets:
-        raise InputError(
-            f"subset {sorted(subset)} is not in Q_{k} (empty, singletons, or all-but-{k})"
-        )
-    return engine.deltas_for_weights()[subset]
-
-
-def delta_loss_squared(ensemble: Ensemble, k: int, subset, test: Dataset) -> float:
-    """Estimated squared-error loss reduction from adding feature k to S."""
-    return _delta(ensemble, k, subset, test, LossKind.SQUARED_ERROR)
-
-
-def delta_loss_cross_entropy(ensemble: Ensemble, k: int, subset, test: Dataset) -> float:
-    """Estimated cross-entropy loss reduction from adding feature k to S.
-
-    The loss is evaluated in margin space: conditional expectations of
-    margins are taken first and the binary cross-entropy is applied outside
-    the expectation, never through the sigmoid.
-    """
-    return _delta(ensemble, k, subset, test, LossKind.BINARY_CROSS_ENTROPY)
 
 
 def subsage_estimate(
@@ -517,4 +483,4 @@ def subsage_stumps(ensemble: Ensemble, k: int, test: Dataset) -> SubSageEstimate
 
     family = build_subset_family(ensemble.n_features, k)
     deltas = {subset: psi for subset in family.subsets}
-    return SubSageEstimate(psi_hat=psi, per_subset_deltas=deltas, n_test=n)
+    return SubSageEstimate(psi_hat=psi, per_subset_deltas=deltas)

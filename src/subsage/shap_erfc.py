@@ -34,13 +34,6 @@ class ShapMatrix:
     phi0: float
 
 
-@dataclass(frozen=True)
-class ErfcScores:
-    """Expected relative feature contribution per feature, all >= 0."""
-
-    kappa: np.ndarray
-
-
 def shapley_weight(subset_size: int, n_players: int) -> float:
     """|S|! (p - |S| - 1)! / p! for a p-player game."""
     return math.factorial(subset_size) * math.factorial(n_players - subset_size - 1) / math.factorial(n_players)
@@ -86,8 +79,9 @@ def shap_exact(ensemble: Ensemble, data: Dataset) -> ShapMatrix:
     return ShapMatrix(phi=phi, phi0=phi0)
 
 
-def erfc(shap: ShapMatrix) -> ErfcScores:
-    """Aggregate |SHAP| shares into one non-negative score per feature.
+def erfc(shap: ShapMatrix) -> np.ndarray:
+    """Aggregate |SHAP| shares into one non-negative score per feature, the
+    expected relative feature contribution kappa.
 
     Each row contributes |phi_ik| divided by |phi0| plus the row's total
     absolute attribution; rows whose denominator is zero contribute nothing
@@ -100,13 +94,12 @@ def erfc(shap: ShapMatrix) -> ErfcScores:
     ok = denom > 0
     shares = np.zeros_like(abs_phi)
     shares[ok] = abs_phi[ok] / denom[ok, None]
-    return ErfcScores(kappa=shares.sum(axis=0))
+    return shares.sum(axis=0)
 
 
-def rank_features(scores: ErfcScores, top: int) -> list[tuple[int, float]]:
+def rank_features(kappa: np.ndarray, top: int) -> list[tuple[int, float]]:
     """Feature indices with the largest scores, descending; ties break by
     ascending feature index."""
-    kappa = scores.kappa
     if top > len(kappa):
         raise InputError(f"top={top} exceeds {len(kappa)} features")
     order = sorted(range(len(kappa)), key=lambda k: (-kappa[k], k))

@@ -10,7 +10,7 @@ The response is
 with x1 ~ Binom(2, 0.4), x2 ~ Binom(2, 0.04), x3 ~ Gamma(shape 10, rate 2),
 x4 ~ Unif(0, pi), x5 ~ Poisson(15), x6 ~ N(0, 10), plus 94 noise features
 (x7..x47 normal, x48..x100 binomial) whose hyperparameters are drawn once
-from configurable uniform ranges under a dedicated seed.
+from fixed uniform ranges under a dedicated seed.
 
 Every column owns an independent seeded stream, so generation is
 deterministic and column order independent.
@@ -36,7 +36,16 @@ X5_LAMBDA = 15.0
 X6_MU, X6_SIGMA = 0.0, 10.0
 X6_CUT = 7.0
 
+# Noise features: counts, and the uniform ranges of their hyperparameters.
+N_NOISE_NORMAL, N_NOISE_BINOM = 41, 53
+NOISE_MU_RANGE = (-5.0, 5.0)
+NOISE_SIGMA_RANGE = (0.5, 5.0)
+NOISE_P_RANGE = (0.05, 0.5)
+
 N_SIGNAL = 6
+N_FEATURES = N_SIGNAL + N_NOISE_NORMAL + N_NOISE_BINOM
+
+COEFFICIENTS = ("a0", "a1", "a2", "a21", "a3", "a4", "a5", "a6")
 
 
 @dataclass(frozen=True)
@@ -52,24 +61,18 @@ class SyntheticConfig:
     a5: float = -0.2
     a6: float = -1.0
     sigma_eps: float = 2.0
-    n_noise_normal: int = 41
-    n_noise_binom: int = 53
     noise_seed: int = 101
-    noise_mu_range: tuple[float, float] = (-5.0, 5.0)
-    noise_sigma_range: tuple[float, float] = (0.5, 5.0)
-    noise_p_range: tuple[float, float] = (0.05, 0.5)
 
     def __post_init__(self):
         if self.n < 1:
             raise InputError("sample count must be at least 1")
         check_seed(self.seed)
         check_seed(self.noise_seed, "noise_seed")
+        for name in COEFFICIENTS:
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.sigma_eps < math.inf:
             raise InputError(f"sigma_eps must be finite and non-negative, got {self.sigma_eps}")
-
-    @property
-    def n_features(self) -> int:
-        return N_SIGNAL + self.n_noise_normal + self.n_noise_binom
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,9 @@ class NoiseParams:
 
 def noise_feature_params(cfg: SyntheticConfig) -> NoiseParams:
     rng = np.random.default_rng(cfg.noise_seed)
-    mus = rng.uniform(*cfg.noise_mu_range, size=cfg.n_noise_normal)
-    sigmas = rng.uniform(*cfg.noise_sigma_range, size=cfg.n_noise_normal)
-    ps = rng.uniform(*cfg.noise_p_range, size=cfg.n_noise_binom)
+    mus = rng.uniform(*NOISE_MU_RANGE, size=N_NOISE_NORMAL)
+    sigmas = rng.uniform(*NOISE_SIGMA_RANGE, size=N_NOISE_NORMAL)
+    ps = rng.uniform(*NOISE_P_RANGE, size=N_NOISE_BINOM)
     return NoiseParams(tuple(mus), tuple(sigmas), tuple(ps))
 
 
@@ -98,7 +101,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     n = cfg.n
     noise = noise_feature_params(cfg)
 
-    columns = np.empty((cfg.n_features, n))
+    columns = np.empty((N_FEATURES, n))
     kinds: list[FeatureKind] = []
     columns[0] = _column_rng(cfg.seed, 1).binomial(X1_TRIALS, X1_P, n)
     columns[1] = _column_rng(cfg.seed, 2).binomial(X2_TRIALS, X2_P, n)
@@ -115,13 +118,13 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
         FeatureKind.CONTINUOUS,
     ]
     pos = N_SIGNAL
-    for j in range(cfg.n_noise_normal):
+    for j in range(N_NOISE_NORMAL):
         columns[pos] = _column_rng(cfg.seed, pos + 1).normal(
             noise.normal_mu[j], noise.normal_sigma[j], n
         )
         kinds.append(FeatureKind.CONTINUOUS)
         pos += 1
-    for j in range(cfg.n_noise_binom):
+    for j in range(N_NOISE_BINOM):
         columns[pos] = _column_rng(cfg.seed, pos + 1).binomial(
             2, noise.binom_p[j], n
         )
@@ -130,7 +133,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
 
     eps = _column_rng(cfg.seed, 0).normal(0.0, cfg.sigma_eps, n)
     y = true_response(columns, cfg) + eps
-    names = tuple(f"x{i}" for i in range(1, cfg.n_features + 1))
+    names = tuple(f"x{i}" for i in range(1, N_FEATURES + 1))
     return Dataset(names, columns, tuple(kinds), y)
 
 
@@ -246,7 +249,7 @@ def config_sidecar(cfg: SyntheticConfig) -> dict:
     the sampled noise hyperparameters."""
     noise = noise_feature_params(cfg)
     doc = asdict(cfg)
-    doc["n_features"] = cfg.n_features
+    doc["n_features"] = N_FEATURES
     doc["noise_params"] = {
         "normal_mu": list(noise.normal_mu),
         "normal_sigma": list(noise.normal_sigma),

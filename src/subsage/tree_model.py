@@ -135,14 +135,9 @@ class Tree:
         feats = sorted({n.feature for n in order if not n.is_leaf})
         self.feature_set: tuple[int, ...] = tuple(feats)
         self.depth = max(level)
-        self.n_leaves = sum(n.is_leaf for n in order)
 
     def node(self, nid: int) -> Node:
         return self._nodes[nid]
-
-    @property
-    def root(self) -> Node:
-        return self._nodes[ROOT_ID]
 
     def nodes_sorted(self) -> list[Node]:
         return [self._nodes[i] for i in sorted(self._nodes)]

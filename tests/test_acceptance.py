@@ -33,7 +33,13 @@ from subsage.estimator import (
 )
 from subsage.shap_erfc import shap_exact
 from subsage.synthetic import SyntheticConfig, TrueMoments, true_shap
-from subsage.tree_model import Ensemble, annotate_probabilities, load_model, predict_margin
+from subsage.tree_model import (
+    ROOT_ID,
+    Ensemble,
+    annotate_probabilities,
+    load_model,
+    predict_margin,
+)
 
 from cond_exp_oracle import SubsetMask, cond_exp_tree
 from conftest import (
@@ -211,7 +217,7 @@ def test_criterion_5_companion_sharp_relationships():
             sums = {}
             for tree in ens.trees:
                 f = tree.feature_set[0]
-                root = tree.root
+                root = tree.node(ROOT_ID)
                 vals = np.where(
                     data.column(f) < root.threshold,
                     tree.node(root.left).leaf_value,

@@ -99,6 +99,16 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("header, name", [("x1,y,y", "y"), ("x1,x1,y", "x1")])
+    def test_duplicate_column_is_data_error(self, tmp_path, capsys, header, name):
+        data_csv = tmp_path / "dup.csv"
+        data_csv.write_text(f"{header}\n1,2,3\n4,5,6\n")
+        model = tmp_path / "m.json"
+        code = run(["train", "--train", data_csv, "--valid", data_csv, "--out", model])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data_csv}: duplicate column name {name!r}\n"
+        assert not model.exists()
+
     def test_writes_model(self, small_pipeline):
         from subsage.tree_model import load_model
 
@@ -114,6 +124,8 @@ class TestTrainCommand:
     ("simulate", ["--sigma-eps", "nan"], "sigma_eps"),
     ("train", ["--seed", "-2"], "seed"),
     ("subsage", ["--seed", "-4"], "seed"),
+    ("simulate", ["--a1", "nan"], "a1"),
+    ("simulate", ["--a6", "inf"], "a6"),
 ])
 def test_bad_seed_or_scale_is_data_error(tmp_path, capsys, command, flags, field):
     data_csv, model, out = tmp_path / "synthetic.csv", tmp_path / "model.json", tmp_path / "out"

@@ -48,6 +48,17 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="missing response"):
             load_csv(path, response="y")
 
+    @pytest.mark.parametrize("text, name", [
+        ("x1,y,y\n1,2,3\n", "y"),
+        ("x1,x1,y\n1,2,3\n", "x1"),
+        ('x1,x1,y\n"1",2,3\n', "x1"),  # a quoted cell: the row scanner reads it
+    ])
+    def test_duplicate_column_name(self, tmp_path, text, name):
+        path = _write(tmp_path, text)
+        with pytest.raises(InputError) as exc:
+            load_csv(path, response="y")
+        assert str(exc.value) == f"{path}: duplicate column name {name!r}"
+
     def test_header_only(self, tmp_path):
         path = _write(tmp_path, "x1,y\n")
         with pytest.raises(InputError, match="no data rows"):
@@ -68,10 +79,13 @@ class TestLoadCsv:
         with pytest.raises(InputError, match=r"data\.csv: row 4, column 'x1': nan"):
             load_csv(path, response="y")
 
-    def test_count_kind_rejects_negative(self, tmp_path):
-        path = _write(tmp_path, "x1,y\n-1,0\n")
-        with pytest.raises(InputError, match="non-negative integer"):
-            load_csv(path, response="y", kinds={"x1": FeatureKind.ORDINAL_COUNT})
+    def test_write_rejects_feature_named_y(self, tmp_path):
+        data = Dataset(("x1", "y"), np.zeros((2, 3)), (FeatureKind.CONTINUOUS,) * 2, np.ones(3))
+        path = tmp_path / "out.csv"
+        with pytest.raises(InputError) as exc:
+            write_csv(data, path)
+        assert str(exc.value) == f"{path}: duplicate column name 'y'"
+        assert not path.exists()
 
     def test_round_trip(self, tmp_path, rng):
         data = random_dataset(rng, 40, 5)
@@ -133,21 +147,21 @@ class TestSplit:
 class TestResample:
     def test_identity_permutation(self, rng):
         data = random_dataset(rng, 12, 3)
-        idx = ResampleIndex(np.arange(12), seed=0, iteration=0)
+        idx = ResampleIndex(np.arange(12))
         rep = resample(data, idx)
         np.testing.assert_array_equal(rep.columns, data.columns)
         np.testing.assert_array_equal(rep.response, data.response)
 
     def test_degenerate_all_first_row(self, rng):
         data = random_dataset(rng, 8, 2)
-        rep = resample(data, ResampleIndex(np.zeros(8, dtype=int), 0, 0))
+        rep = resample(data, ResampleIndex(np.zeros(8, dtype=int)))
         for i in range(8):
             np.testing.assert_array_equal(rep.columns[:, i], data.columns[:, 0])
 
     def test_out_of_range(self, rng):
         data = random_dataset(rng, 5, 2)
         with pytest.raises(InputError, match="out of range"):
-            resample(data, ResampleIndex(np.array([0, 1, 2, 3, 9]), 0, 0))
+            resample(data, ResampleIndex(np.array([0, 1, 2, 3, 9])))
 
     def test_draw_deterministic_in_seed_and_iteration(self):
         a = ResampleIndex.draw(50, seed=7, iteration=3)

@@ -216,7 +216,7 @@ def test_ragged_factors_equal_padded_loop(case, seed):
             continue
         p = engine._p0 if weights is None else engine.probs_for_weights(weights)
         np.testing.assert_array_equal(engine._coefficients(p), padded._coefficients(p))
-        assert engine.deltas_for_weights(weights) == padded.deltas_for_weights(weights)
+        assert engine.estimate(weights) == padded.estimate(weights)
 
 
 def test_full_depth_seven_tree():

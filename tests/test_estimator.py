@@ -11,12 +11,10 @@ from subsage.estimator import (
     LossKind,
     SubSageEngine,
     build_subset_family,
-    delta_loss_cross_entropy,
-    delta_loss_squared,
     subsage_estimate,
     subsage_stumps,
 )
-from subsage.tree_model import Ensemble, Tree, annotate_probabilities, branch, leaf
+from subsage.tree_model import ROOT_ID, Ensemble, Tree, annotate_probabilities, branch, leaf
 
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
 
@@ -92,8 +90,9 @@ class TestDeltaSquared:
             Ensemble(trees=(make_stump(0, 0.0, -1, 1),), n_features=5), data
         )
         family = build_subset_family(5, 3)
+        deltas = subsage_estimate(ens, 3, data, LossKind.SQUARED_ERROR).per_subset_deltas
         for subset in family.subsets:
-            assert delta_loss_squared(ens, 3, subset, data) == 0.0
+            assert deltas[subset] == 0.0
 
     def test_matches_naive_estimator(self, rng):
         for trial in range(5):
@@ -103,8 +102,9 @@ class TestDeltaSquared:
             )
             k = int(rng.integers(0, 4))
             family = build_subset_family(4, k)
+            deltas = subsage_estimate(ens, k, data, LossKind.SQUARED_ERROR).per_subset_deltas
             for subset in family.subsets:
-                fast = delta_loss_squared(ens, k, subset, data)
+                fast = deltas[subset]
                 slow = naive_delta(ens, k, subset, data, LossKind.SQUARED_ERROR)
                 assert fast == pytest.approx(slow, abs=1e-9)
 
@@ -119,13 +119,7 @@ class TestDeltaSquared:
             data,
         )
         with pytest.raises(InputError, match="requires objective"):
-            delta_loss_squared(ens, 0, frozenset(), data)
-
-    def test_subset_outside_family_rejected(self, rng):
-        data = random_dataset(rng, 20, 4)
-        ens = annotate_probabilities(random_ensemble(rng, data, 3, 1), data)
-        with pytest.raises(InputError, match="not in Q_"):
-            delta_loss_squared(ens, 0, frozenset({1, 2}), data)
+            subsage_estimate(ens, 0, data, LossKind.SQUARED_ERROR)
 
 
 class TestDeltaCrossEntropy:
@@ -149,16 +143,18 @@ class TestDeltaCrossEntropy:
             data,
         )
         family = build_subset_family(5, 2)
+        deltas = subsage_estimate(ens, 2, data, LossKind.BINARY_CROSS_ENTROPY).per_subset_deltas
         for subset in family.subsets:
-            assert delta_loss_cross_entropy(ens, 2, subset, data) == 0.0
+            assert deltas[subset] == 0.0
 
     def test_matches_naive_estimator(self, rng):
         for trial in range(5):
             data, ens = self._binary_fixture(rng)
             k = int(rng.integers(0, 4))
             family = build_subset_family(4, k)
+            deltas = subsage_estimate(ens, k, data, LossKind.BINARY_CROSS_ENTROPY).per_subset_deltas
             for subset in family.subsets:
-                fast = delta_loss_cross_entropy(ens, k, subset, data)
+                fast = deltas[subset]
                 slow = naive_delta(ens, k, subset, data, LossKind.BINARY_CROSS_ENTROPY)
                 assert fast == pytest.approx(slow, abs=1e-9)
 
@@ -189,7 +185,7 @@ class TestDeltaCrossEntropy:
             np.ones(30),
         )
         engine = SubSageEngine(ens, shifted, 0, LossKind.BINARY_CROSS_ENTROPY)
-        delta = engine.deltas_for_weights()[frozenset()]
+        delta = engine.estimate().per_subset_deltas[frozenset()]
         assert delta > 0.0
 
     def test_non_binary_response_rejected(self, rng):
@@ -198,7 +194,7 @@ class TestDeltaCrossEntropy:
             random_ensemble(rng, data, 3, 1, objective="binary-logistic"), data
         )
         with pytest.raises(InputError, match="requires responses"):
-            delta_loss_cross_entropy(ens, 0, frozenset(), data)
+            subsage_estimate(ens, 0, data, LossKind.BINARY_CROSS_ENTROPY)
 
 
 class TestSubsageEstimate:
@@ -213,6 +209,14 @@ class TestSubsageEstimate:
         est = subsage_estimate(ens, unused[0], data, LossKind.SQUARED_ERROR)
         assert est.psi_hat == 0.0
         assert all(v == 0.0 for v in est.per_subset_deltas.values())
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_no_rows_rejected(self, rng, loss):
+        data = random_dataset(rng, 20, 3, binary_response=True)
+        objective = "regression" if loss is LossKind.SQUARED_ERROR else "binary-logistic"
+        ens = annotate_probabilities(random_ensemble(rng, data, 3, 2, objective=objective), data)
+        with pytest.raises(InputError, match="needs at least 1 row"):
+            subsage_estimate(ens, 0, data.take_rows([]), loss)
 
     def test_matches_naive_psi(self, rng):
         data = random_dataset(rng, 35, 4)
@@ -412,7 +416,7 @@ class TestSubsageStumps:
             n = data.n_rows
             k = int(rng.integers(0, data.n_cols))
             stump_psi = subsage_stumps(ens, k, data).psi_hat
-            d_empty = delta_loss_squared(ens, k, frozenset(), data)
+            d_empty = subsage_estimate(ens, k, data, LossKind.SQUARED_ERROR).per_subset_deltas[frozenset()]
             assert stump_psi * (n - 1) / n == pytest.approx(d_empty, abs=1e-9)
 
     def test_singleton_delta_shift_is_cross_covariance(self, rng):
@@ -425,24 +429,25 @@ class TestSubsageStumps:
         g = np.zeros(n)
         for tree in ens.trees:
             if tree.feature_set == (k,):
-                root = tree.root
+                root = tree.node(ROOT_ID)
                 g += np.where(
                     data.column(k) < root.threshold,
                     tree.node(root.left).leaf_value,
                     tree.node(root.right).leaf_value,
                 )
-        d_empty = delta_loss_squared(ens, k, frozenset(), data)
+        deltas = subsage_estimate(ens, k, data, LossKind.SQUARED_ERROR).per_subset_deltas
+        d_empty = deltas[frozenset()]
         for m in range(1, data.n_cols):
             h = np.zeros(n)
             for tree in ens.trees:
                 if tree.feature_set == (m,):
-                    root = tree.root
+                    root = tree.node(ROOT_ID)
                     h += np.where(
                         data.column(m) < root.threshold,
                         tree.node(root.left).leaf_value,
                         tree.node(root.right).leaf_value,
                     )
-            d_single = delta_loss_squared(ens, k, frozenset({m}), data)
+            d_single = deltas[frozenset({m})]
             cross = float(np.mean(h * g) - h.mean() * g.mean())
             assert d_single - d_empty == pytest.approx(-2.0 * cross, abs=1e-9)
 

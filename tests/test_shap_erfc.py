@@ -6,7 +6,7 @@ import pytest
 
 from subsage.dataset import Dataset, FeatureKind
 from subsage.errors import InputError
-from subsage.shap_erfc import ErfcScores, ShapMatrix, erfc, rank_features, shap_exact
+from subsage.shap_erfc import ShapMatrix, erfc, rank_features, shap_exact
 from subsage.tree_model import (
     Ensemble,
     annotate_probabilities,
@@ -121,43 +121,39 @@ class TestShapExact:
 class TestErfc:
     def test_single_row_direct(self):
         shap = ShapMatrix(phi=np.array([[1.0, 1.0]]), phi0=1.0)
-        scores = erfc(shap)
-        np.testing.assert_allclose(scores.kappa, [1 / 3, 1 / 3])
+        np.testing.assert_allclose(erfc(shap), [1 / 3, 1 / 3])
 
     def test_zero_column_zero_score(self):
         shap = ShapMatrix(phi=np.array([[1.0, 0.0], [2.0, 0.0]]), phi0=0.5)
-        scores = erfc(shap)
-        assert scores.kappa[1] == 0.0
-        assert scores.kappa[0] > 0.0
+        kappa = erfc(shap)
+        assert kappa[1] == 0.0
+        assert kappa[0] > 0.0
 
     def test_zero_denominator_rows_contribute_nothing(self):
         shap = ShapMatrix(phi=np.array([[0.0, 0.0], [1.0, 3.0]]), phi0=0.0)
-        scores = erfc(shap)
-        np.testing.assert_allclose(scores.kappa, [0.25, 0.75])
+        np.testing.assert_allclose(erfc(shap), [0.25, 0.75])
 
     def test_unnormalized_sum_over_rows(self):
         # Two identical rows double the score of one row.
         one = ShapMatrix(phi=np.array([[2.0, 1.0]]), phi0=1.0)
         two = ShapMatrix(phi=np.array([[2.0, 1.0], [2.0, 1.0]]), phi0=1.0)
-        np.testing.assert_allclose(erfc(two).kappa, 2 * erfc(one).kappa)
+        np.testing.assert_allclose(erfc(two), 2 * erfc(one))
 
 
 class TestRankFeatures:
     def test_descending(self):
-        scores = ErfcScores(kappa=np.array([0.1, 0.5, 0.3]))
-        assert rank_features(scores, 2) == [(1, 0.5), (2, 0.3)]
+        assert rank_features(np.array([0.1, 0.5, 0.3]), 2) == [(1, 0.5), (2, 0.3)]
 
     def test_tie_breaks_by_index(self):
-        scores = ErfcScores(kappa=np.array([0.2, 0.0, 0.0, 0.7, 0.2, 0.1, 0.0, 0.2]))
-        ranked = rank_features(scores, 8)
+        ranked = rank_features(np.array([0.2, 0.0, 0.0, 0.7, 0.2, 0.1, 0.0, 0.2]), 8)
         assert ranked[0] == (3, 0.7)
         assert [k for k, _ in ranked[1:4]] == [0, 4, 7]
 
     def test_full_ranking_is_permutation(self, rng):
         kappa = rng.random(12)
-        ranked = rank_features(ErfcScores(kappa=kappa), 12)
+        ranked = rank_features(kappa, 12)
         assert sorted(k for k, _ in ranked) == list(range(12))
 
     def test_top_bounded(self):
         with pytest.raises(InputError, match="exceeds"):
-            rank_features(ErfcScores(kappa=np.ones(3)), 4)
+            rank_features(np.ones(3), 4)

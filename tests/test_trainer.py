@@ -5,7 +5,7 @@ from subsage.dataset import Dataset, FeatureKind
 from subsage.errors import InputError, NumericalError
 from subsage.estimator import LossKind
 from subsage.trainer import TrainConfig, _best_split, eval_loss, train
-from subsage.tree_model import predict_margin_batch, write_model
+from subsage.tree_model import ROOT_ID, predict_margin_batch, write_model
 
 from conftest import random_dataset
 
@@ -124,7 +124,8 @@ class TestTrainLogistic:
         accuracy = float(np.mean((margins > 0) == (valid.response > 0.5)))
         assert accuracy > 0.95
         # The first split should sit near the decision boundary.
-        first_split_features = {t.root.feature for t in model.trees if not t.root.is_leaf}
+        roots = [t.node(ROOT_ID) for t in model.trees]
+        first_split_features = {r.feature for r in roots if not r.is_leaf}
         assert 0 in first_split_features
 
     def test_single_class_rejected(self, rng):

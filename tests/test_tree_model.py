@@ -9,6 +9,7 @@ from subsage.errors import InputError
 from subsage.estimator import LossKind, SubSageEngine, subsage_stumps
 from subsage.shap_erfc import shap_exact
 from subsage.tree_model import (
+    ROOT_ID,
     Ensemble,
     Tree,
     annotate_probabilities,
@@ -32,7 +33,7 @@ class TestTreeStructure:
     def test_depth_and_leaves(self):
         tree = make_depth2(0, 1.0, 1, 2.0, 1, 3.0, (1, 2, 3, 4))
         assert tree.depth == 2
-        assert tree.n_leaves == 4
+        assert (tree.left < 0).sum() == 4
         assert tree.feature_set == (0, 1)
 
     def test_ragged_tree_allowed(self):
@@ -46,7 +47,7 @@ class TestTreeStructure:
             ]
         )
         assert tree.depth == 2
-        assert tree.n_leaves == 3
+        assert (tree.left < 0).sum() == 3
 
     def test_dangling_child(self):
         with pytest.raises(InputError, match="dangling child"):
@@ -140,7 +141,7 @@ class TestAnnotate:
         ens = annotate_probabilities(
             Ensemble(trees=(make_stump(0, 3.0, 0.0, 1.0),), n_features=1), data
         )
-        root = ens.trees[0].root
+        root = ens.trees[0].node(ROOT_ID)
         assert root.prob_left == 0.5
 
     def test_threshold_below_min_gives_zero(self):
@@ -150,7 +151,7 @@ class TestAnnotate:
         ens = annotate_probabilities(
             Ensemble(trees=(make_stump(0, 0.5, 5.0, 7.0),), n_features=1), data
         )
-        assert ens.trees[0].root.prob_left == 0.0
+        assert ens.trees[0].node(ROOT_ID).prob_left == 0.0
 
     def test_original_untouched_and_idempotent(self, rng):
         data = random_dataset(rng, 50, 3)
@@ -365,7 +366,7 @@ class TestXgbImport:
         path.write_text(json.dumps(doc))
         ens = import_xgb_dump(path)
         assert ens.n_trees == 1
-        root = ens.trees[0].root
+        root = ens.trees[0].node(ROOT_ID)
         assert root.threshold == 0.5
         # "yes" branch (x < t) maps to left.
         assert ens.trees[0].node(root.left).leaf_value == -1.0

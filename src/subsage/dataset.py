@@ -49,6 +49,16 @@ def _check_finite(table: np.ndarray, where) -> None:
         )
 
 
+def _check_unique(names: Sequence[str], message: str) -> None:
+    """Reject the first name that repeats an earlier one, as ``message``
+    followed by that name."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise InputError(f"{message} {name!r}")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable column-typed feature matrix with a response vector.
@@ -70,6 +80,7 @@ class Dataset:
         m, n = cols.shape
         if len(self.feature_names) != m or len(self.kinds) != m:
             raise InputError("feature_names/kinds length must match column count")
+        _check_unique(self.feature_names, "duplicate feature name")
         if resp.shape != (n,):
             raise InputError(
                 f"response length {resp.shape} does not match {n} rows"
@@ -208,15 +219,6 @@ def _parse_fast(path: Path, response: str) -> tuple[list[str], np.ndarray] | Non
     return (header, table) if table.shape == (lines, len(header)) else None
 
 
-def _check_unique(path: Path, names: Sequence[str]) -> None:
-    """Reject the first column name that repeats an earlier one."""
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            raise InputError(f"{path}: duplicate column name {name!r}")
-        seen.add(name)
-
-
 def load_csv(path: str | Path, response: str) -> Dataset:
     """Read a numeric, comma-separated, header-first CSV into a Dataset.
 
@@ -234,7 +236,7 @@ def load_csv(path: str | Path, response: str) -> Dataset:
     except (ValueError, csv.Error):  # a UnicodeDecodeError is a ValueError
         found = None
     header, table = found or _scan_rows(path, response)
-    _check_unique(path, header)
+    _check_unique(header, f"{path}: duplicate column name")
     _check_finite(table, lambda i, j: f"{path}: row {i + 2}, column {header[j]!r}")
     table = table.T
     y_pos = header.index(response)
@@ -256,7 +258,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     """
     path = Path(path)
     header = [*dataset.feature_names, "y"]
-    _check_unique(path, header)
+    _check_unique(header, f"{path}: duplicate column name")
     cols, resp = dataset.columns, dataset.response
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")

@@ -100,6 +100,36 @@ def build_subset_family(m: int, k: int) -> SubsetFamily:
 # gather over every row, while its cells multiply the table's size.
 _REST_CELLS = 256
 
+# Float64 values per block of a draw's subset rows, about 1 MB: a block
+# stays in cache however many features the trees use, while on few data
+# rows one numpy call still covers many subsets.
+_BLOCK_FLOATS = 2**17
+
+
+def _blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) splitting ``range(n_rows)`` into the fewest blocks
+    of near-equal size that hold at most ``_BLOCK_FLOATS`` values of
+    ``width`` each, or 3 rows. No block holds exactly one row unless
+    ``n_rows`` is 1: past 8192 values a row, einsum sums a lone row through
+    another kernel than a block of rows, which differs in the last bits,
+    while blocks of two or more rows agree bitwise with one einsum over
+    all of them."""
+    n_blocks = -(-n_rows // max(3, _BLOCK_FLOATS // width))
+    bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _weights_total(weights: np.ndarray) -> float:
+    """Sum of row weights, which must be finite, non-negative and not all
+    zero."""
+    total = float(weights.sum())
+    # A finite sum rules out every NaN and infinity.
+    if not (np.isfinite(total) and weights.min() >= 0.0):
+        raise InputError("weights must be finite and non-negative")
+    if total <= 0:
+        raise InputError("weights must have positive total")
+    return total
+
 
 class SubSageEngine:
     """Shared state for estimating one feature's sub-SAGE on one dataset.
@@ -110,8 +140,9 @@ class SubSageEngine:
     cell id in a few spaces: each used feature's threshold grid, one pair
     space (k, m) per feature m sharing a tree with k, and the spaces of the
     trees that split on k. A draw turns its branch probabilities into one
-    small table per space and gathers the per-subset vectors from them, so
-    memory is O(rows x spaces) ints plus O(rows x subsets) floats per draw.
+    small table per space and gathers the per-subset vectors from them in
+    blocks of about ``_BLOCK_FLOATS`` values, so memory is O(rows x spaces)
+    ints plus O(rows) floats per draw, however many features are used.
     """
 
     def __init__(self, ensemble: Ensemble, data: Dataset, k: int, loss: LossKind):
@@ -196,38 +227,7 @@ class SubSageEngine:
         self._slot, self._slot_leaf = [], []
         self._scalar_of, self._n_slots = [], 0
 
-        empty, only_k = frozenset(), frozenset((k,))
-        # Grid tables, k first: k's holds d^{} (tau_k trees, {k} minus the
-        # empty set), each singleton m's the margin given x_m, minus f0.
-        grid, offs = [], []
-        for f in feats:
-            with_f = tau if f == k else [t for t, tr in enumerate(trees) if f in tr.feature_set]
-            known = frozenset((f,))
-            terms = [(t, c, sign) for t in with_f for c, sign in ((known, 1.0), (empty, -1.0))]
-            offs.append(self._space({f: np.arange(len(grids[f]) + 1)}, terms))
-            grid.append(self._iv[f] + offs[-1])
-        self._grids_end = self._n_slots
-        self._grid1 = offs[1] if s else self._grids_end
-        # Weighted count below threshold j of f = cumulative weight of f's
-        # grid cells 0..j; integer weights keep every partial sum exact.
-        self._count_lo = np.repeat(offs, sizes)
-        self._count_hi = self._count_lo + self._thr_rank + 1
-        self._empty_slot = self._space({}, [(t, empty, 1.0) for t in range(len(trees))])
-        # Gather rows: the margins F for the empty set and each singleton,
-        # then the gaps d for the same subsets, then the rest tables.
-        rows = [np.full(self.n, self._empty_slot), *grid[1:], grid[0]]
-
-        # Pair tables: d^{m} - d^{} over the tau_k trees that use m.
-        for m in self._singles[: self._n_pairs]:
-            only_m, both = frozenset((m,)), frozenset((k, m))
-            cells, rep = self._cells(self._tids(with_m[m], k, m))
-            rows.append(cells + self._space(rep, [
-                (t, c, sign) for t in with_m[m] for c, sign in
-                ((both, 1.0), (only_k, -1.0), (only_m, -1.0), (empty, 1.0))
-            ]))
-        rows += [grid[0]] * (s - self._n_pairs)
-        # Rest tables: d^rest over tau_k trees, several trees per table
-        # while their joint cells stay few.
+        # Rest tables share trees of tau_k while their joint cells stay few.
         def n_cells(group):
             _, counts = np.unique(self._thr_feat[self._tids(group)], return_counts=True)
             return np.prod(counts + 1.0)
@@ -238,17 +238,48 @@ class SubSageEngine:
                 groups[-1].append(t)
             else:
                 groups.append([t])
-        for group in groups:
+        # Gather rows: each singleton's margin F, then d^{} (the empty set's
+        # gap and that of every singleton sharing no tree with k), then the
+        # pair and rest tables. The empty set's F is one slot.
+        self._ids = np.empty((s + 1 + self._n_pairs + len(groups), self.n), np.intp)
+
+        empty, only_k = frozenset(), frozenset((k,))
+        # Grid tables, k first: k's holds d^{} (tau_k trees, {k} minus the
+        # empty set), each singleton m's the margin given x_m, minus f0.
+        offs = []
+        for row, f in zip([s, *range(s)], feats):
+            with_f = tau if f == k else [t for t, tr in enumerate(trees) if f in tr.feature_set]
+            known = frozenset((f,))
+            terms = [(t, c, sign) for t in with_f for c, sign in ((known, 1.0), (empty, -1.0))]
+            offs.append(self._space({f: np.arange(len(grids[f]) + 1)}, terms))
+            np.add(self._iv[f], offs[-1], out=self._ids[row])
+        self._grids_end = self._n_slots
+        self._grid1 = offs[1] if s else self._grids_end
+        # Weighted count below threshold j of f = cumulative weight of f's
+        # grid cells 0..j; integer weights keep every partial sum exact.
+        self._count_lo = np.repeat(offs, sizes)
+        self._count_hi = self._count_lo + self._thr_rank + 1
+        self._empty_slot = self._space({}, [(t, empty, 1.0) for t in range(len(trees))])
+
+        # Pair tables: d^{m} - d^{} over the tau_k trees that use m.
+        for row, m in enumerate(self._singles[: self._n_pairs], s + 1):
+            only_m, both = frozenset((m,)), frozenset((k, m))
+            cells, rep = self._cells(self._tids(with_m[m], k, m))
+            np.add(cells, self._space(rep, [
+                (t, c, sign) for t in with_m[m] for c, sign in
+                ((both, 1.0), (only_k, -1.0), (only_m, -1.0), (empty, 1.0))
+            ]), out=self._ids[row])
+        # Rest tables: d^rest over their tau_k trees.
+        for row, group in enumerate(groups, s + 1 + self._n_pairs):
             cells, rep = self._cells(self._tids(group))
-            rows.append(cells + self._space(rep, [
+            np.add(cells, self._space(rep, [
                 (t, c, sign) for t in group for c, sign in (
                     (frozenset(trees[t].feature_set), 1.0),
                     (frozenset(trees[t].feature_set) - only_k, -1.0))
-            ]))
+            ]), out=self._ids[row])
         self._n_rest = len(groups)
         if self._n_rest:
             self._pred = predict_margin_batch(ensemble, data)
-        self._ids = np.vstack(rows)
         self._scalar_of = np.array(self._scalar_of + [-1], dtype=np.intp)
         # Coefficients ordered by their number of unknown steps, most first
         # (ties in class order), so that step j of a draw multiplies a prefix.
@@ -341,12 +372,15 @@ class SubSageEngine:
         With multiplicity weights this equals annotating on the materialized
         replicate: both are exact integer counts divided by the total.
         """
-        total = float(weights.sum())
-        if total <= 0:
-            raise InputError("weights must have positive total")
-        s = len(self._singles)
-        grid_ids = self._ids[1 : s + 2]
-        counts = np.bincount(grid_ids.ravel(), np.tile(weights, s + 1), self._grids_end)
+        total = _weights_total(weights)
+        # Grid spaces own disjoint slots, so each slot's count comes from one
+        # row, adding its weights in row order, whichever rows share a call.
+        blocks = _blocks(len(self._singles) + 1, self.n)
+        tiled = np.tile(weights, max(hi - lo for lo, hi in blocks))
+        counts = np.zeros(self._grids_end)
+        for lo, hi in blocks:
+            rows = self._ids[lo:hi].ravel()
+            counts += np.bincount(rows, tiled[: len(rows)], self._grids_end)
         cum = np.concatenate(([0.0], np.cumsum(counts)))
         return (cum[self._count_hi] - cum[self._count_lo]) / total
 
@@ -371,9 +405,7 @@ class SubSageEngine:
             w = np.asarray(weights, dtype=np.float64)
             if w.shape != (self.n,):
                 raise InputError("weights length must match row count")
-            total = float(w.sum())
-            if total <= 0:
-                raise InputError("weights must have positive total")
+            total = _weights_total(w)
         if self.k not in self.used_features:
             return None
         p = self._p0 if w is None else self.probs_for_weights(w)
@@ -383,14 +415,40 @@ class SubSageEngine:
         table += table[self._scalar_of]
         table[self._empty_slot] += self.ensemble.base_score
         table[self._grid1 : self._grids_end] += table[self._empty_slot]
-        x = np.take(table, self._ids)
-        s = len(self._singles)
-        x[s + 2 : s + 2 + self._n_pairs] += x[s + 1]
-        delta = self._loss_gaps(x[s + 1 : 2 * s + 2], x[: s + 1], w) / total
+        s, pairs = len(self._singles), self._n_pairs
+        d0 = np.take(table, self._ids[s])
+        # Subset i is the empty set (i = 0) or singleton i: its F is a row
+        # of singleton margins (the empty set's is constant), its d is d0
+        # plus pair row i for the first ``pairs`` singletons.
+        blocks = _blocks(s + 1, self.n)
+        f_buf = np.empty((max(hi - lo for lo, hi in blocks), self.n))
+        d_buf = np.empty_like(f_buf)
+        delta = np.empty(s + 1)
+        for lo, hi in blocks:
+            f, d = f_buf[: hi - lo], d_buf[: hi - lo]
+            if lo == 0:
+                f[0] = table[self._empty_slot]
+            a, b = max(lo, 1), min(hi, pairs + 1)
+            np.take(table, self._ids[a - 1 : hi - 1], out=f[a - lo :])
+            d[:] = d0
+            if a < b:
+                np.take(table, self._ids[s + a : s + b], out=d[a - lo : b - lo])
+                d[a - lo : b - lo] += d0
+            delta[lo:hi] = self._loss_gaps(d, f, w)
+        delta /= total
         if not self._n_rest:
             return delta
         # Knowing every feature but k gives the margin prediction - d^rest.
-        d = x[2 * s + 2 :].sum(axis=0)
+        # An axis-0 sum adds rows in order, so carrying the running sum into
+        # row 0 of each block adds the rest rows as one sum over all would.
+        rest = self._ids[s + 1 + pairs :]
+        d = np.take(table, rest[0])
+        step = len(f_buf) - 1
+        for lo in range(1, len(rest), step):
+            part = f_buf[: 1 + min(step, len(rest) - lo)]
+            part[0] = d
+            np.take(table, rest[lo : lo + step], out=part[1:])
+            part.sum(axis=0, out=d)
         return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
 
     def _loss_gaps(self, d, f, w):

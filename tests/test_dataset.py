@@ -230,6 +230,11 @@ class TestDatasetInvariants:
         with pytest.raises(InputError):
             Dataset(("a",), np.ones((1, 3)), (FeatureKind.CONTINUOUS,), np.zeros(2))
 
+    def test_rejects_repeated_feature_name(self):
+        with pytest.raises(InputError) as exc:
+            Dataset(("a", "b", "a"), np.ones((3, 2)), (FeatureKind.CONTINUOUS,) * 3, np.zeros(2))
+        assert str(exc.value) == "duplicate feature name 'a'"
+
     def test_immutable(self, rng):
         data = random_dataset(rng, 5, 2)
         with pytest.raises(ValueError):

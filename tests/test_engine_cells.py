@@ -9,7 +9,10 @@ estimate that is zero up to rounding compares on the scale of its terms.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +20,10 @@ from subsage import cli
 from subsage.cond_expect import cond_exp_batch
 from subsage.dataset import Dataset, FeatureKind, ResampleIndex, resample, write_csv
 from subsage.estimator import (
+    _BLOCK_FLOATS,
     LossKind,
     SubSageEngine,
+    _blocks,
     build_subset_family,
     subsage_estimate,
 )
@@ -32,7 +37,7 @@ from subsage.tree_model import (
     write_model,
 )
 
-from conftest import make_stump, random_dataset
+from conftest import make_depth2, make_stump, random_dataset
 
 RTOL = 1e-12
 
@@ -276,3 +281,147 @@ def test_unused_feature_report_is_all_zero(tmp_path):
         '   "x0": 0.0,\n   "x1": 0.0,\n   "x2": 0.0,\n   "rest": 0.0\n  },\n'
         f'  "draws": [\n{zeros}\n  ]\n }}\n]\n'
     )
+
+
+class WholeMatrixEngine(SubSageEngine):
+    """The engine with its former draw kernel: one gather of every
+    subset's F and d as a (2s + 2 + rest) x rows matrix, with a constant
+    row for the empty set's F and d^{} repeated for each singleton sharing
+    no tree with k, the loss gaps over all of it at once, and grid counts
+    from one bincount over tiled weights."""
+
+    def __init__(self, ensemble, data, k, loss):
+        super().__init__(ensemble, data, k, loss)
+        if k in self.used_features:
+            s, pairs, ids = len(self._singles), self._n_pairs, self._ids
+            self._whole = np.vstack([
+                np.full(self.n, self._empty_slot), ids[: s + 1 + pairs],
+                *[ids[s]] * (s - pairs), ids[s + 1 + pairs :],
+            ])
+
+    def probs_for_weights(self, weights):
+        s = len(self._singles)
+        grid_ids = self._whole[1 : s + 2]
+        counts = np.bincount(grid_ids.ravel(), np.tile(weights, s + 1), self._grids_end)
+        cum = np.concatenate(([0.0], np.cumsum(counts)))
+        return (cum[self._count_hi] - cum[self._count_lo]) / weights.sum()
+
+    def _delta_rows(self, weights):
+        if self.k not in self.used_features:
+            return None
+        w = np.ones(self.n) if weights is None else weights
+        total = float(w.sum())
+        p = self._p0 if weights is None else self.probs_for_weights(w)
+        coef = self._coefficients(p)
+        table = np.bincount(self._slot, coef[self._slot_leaf], self._n_slots + 1)
+        table += table[self._scalar_of]
+        table[self._empty_slot] += self.ensemble.base_score
+        table[self._grid1 : self._grids_end] += table[self._empty_slot]
+        x = np.take(table, self._whole)
+        s = len(self._singles)
+        x[s + 2 : s + 2 + self._n_pairs] += x[s + 1]
+        delta = self._loss_gaps(x[s + 1 : 2 * s + 2], x[: s + 1], w) / total
+        if not self._n_rest:
+            return delta
+        d = x[2 * s + 2 :].sum(axis=0)
+        return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
+
+
+# Past 8192 rows einsum's kernel for a lone subset row parts from that for
+# a block; at this many rows a block holds BLOCK subset rows.
+WIDE = 9001
+BLOCK = _BLOCK_FLOATS // WIDE
+
+
+@st.composite
+def block_cases(draw, s):
+    """(annotated ensemble, data, k, loss) whose trees use k and exactly
+    ``s`` other features, over few rows or over ``WIDE``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = max(3, s + 1 + draw(st.integers(0, 2)))
+    n = draw(st.sampled_from((7, 40, WIDE)))
+    binary = draw(st.booleans())
+    data = random_dataset(rng, n, m, binary_response=binary)
+    k = draw(st.integers(0, m - 1))
+    used = [k, *rng.choice([j for j in range(m) if j != k], s, replace=False).tolist()]
+    trees = [
+        ragged_tree(rng, data, draw(st.integers(1, 4)), used)
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    missing = set(used).difference(*(tree.feature_set for tree in trees))
+    trees += [
+        make_stump(f, float(np.median(data.column(f))), float(rng.normal()), float(rng.normal()))
+        for f in sorted(missing)
+    ]
+    ens = Ensemble(
+        trees=tuple(trees),
+        n_features=m,
+        objective="binary-logistic" if binary else "regression",
+        base_score=float(rng.normal()),
+    )
+    loss = LossKind.BINARY_CROSS_ENTROPY if binary else LossKind.SQUARED_ERROR
+    return annotate_probabilities(ens, data), data, k, loss
+
+
+@pytest.mark.parametrize("s", sorted({0, 1, BLOCK - 2, BLOCK - 1, BLOCK, 2 * BLOCK}))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_blocked_draws_equal_whole_matrix_kernel(s, data):
+    ens, test, k, loss = data.draw(block_cases(s))
+    engine = SubSageEngine(ens, test, k, loss)
+    oracle = WholeMatrixEngine(ens, test, k, loss)
+    assert len(engine._singles) == s
+    n = test.n_rows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    jackknife = np.ones(n)
+    jackknife[rng.integers(n)] = 0.0
+    bootstrap = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+    for weights in (None, np.ones(n), bootstrap, jackknife):
+        if weights is not None:
+            np.testing.assert_array_equal(
+                engine.probs_for_weights(weights), oracle.probs_for_weights(weights)
+            )
+        np.testing.assert_array_equal(engine._delta_rows(weights), oracle._delta_rows(weights))
+        assert engine.estimate(weights) == oracle.estimate(weights)
+
+
+def test_blocks_cover_rows_without_a_lone_row():
+    assert BLOCK >= 3
+    for width in (7, 200, 3200, WIDE, 16_000, 10**6):
+        size = max(3, _BLOCK_FLOATS // width)
+        for n_rows in range(1, 4 * min(size, 20) + 3):
+            spans = _blocks(n_rows, width)
+            assert [lo for lo, _ in spans] == [0, *(hi for _, hi in spans[:-1])]
+            assert spans[-1][1] == n_rows
+            sizes = [hi - lo for lo, hi in spans]
+            assert max(sizes) <= size
+            assert len(spans) == -(-n_rows // size)
+            assert n_rows == 1 or min(sizes) >= 2, (width, sizes)
+
+
+def test_draw_memory_does_not_grow_with_used_features():
+    # 80 used features besides k over 20 000 rows: a whole-matrix draw
+    # gathers 160-odd rows of 160 kB and its loss terms four arrays of
+    # half that, about 40 MB traced; blocks of about 1 MB need about 3 MB.
+    rng = np.random.default_rng(12)
+    n, m = 20_000, 82
+    data = random_dataset(rng, n, m)
+    median = lambda f: float(np.median(data.column(f)))
+    trees = [make_stump(f, median(f), float(rng.normal()), float(rng.normal())) for f in range(1, m - 1)]
+    trees += [
+        make_depth2(0, median(0), f, median(f), f + 1, median(f + 1), tuple(rng.normal(size=4)))
+        for f in range(1, 20, 2)
+    ]
+    ens = annotate_probabilities(Ensemble(trees=tuple(trees), n_features=m), data)
+    engine = SubSageEngine(ens, data, 0, LossKind.SQUARED_ERROR)
+    s = len(engine._singles)
+    assert (s, engine._n_pairs) == (80, 20)
+    assert engine._ids.shape == (s + 1 + engine._n_pairs + engine._n_rest, n)
+    weights = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+    tracemalloc.start()
+    try:
+        engine.psi_for_weights(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak

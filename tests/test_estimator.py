@@ -369,6 +369,31 @@ class TestWeightedPathEquivalence:
         )
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0])
+    def test_impossible_weight_rejected(self, rng, bad):
+        data = random_dataset(rng, 30, 4)
+        ens = annotate_probabilities(random_ensemble(rng, data, 6, 2), data)
+        engine = SubSageEngine(ens, data, 1, LossKind.SQUARED_ERROR)
+        weights = np.ones(30)
+        weights[3] = bad
+        for call in (engine.psi_for_weights, engine.estimate, engine.probs_for_weights):
+            with pytest.raises(InputError) as exc:
+                call(weights)
+            assert str(exc.value) == "weights must be finite and non-negative"
+
+    @pytest.mark.parametrize("weights, message", [
+        (np.ones(29), "weights length must match row count"),
+        (np.zeros(30), "weights must have positive total"),
+    ])
+    def test_weight_shape_and_total_messages(self, rng, weights, message):
+        data = random_dataset(rng, 30, 4)
+        ens = annotate_probabilities(random_ensemble(rng, data, 6, 2), data)
+        engine = SubSageEngine(ens, data, 1, LossKind.SQUARED_ERROR)
+        with pytest.raises(InputError) as exc:
+            engine.psi_for_weights(weights)
+        assert str(exc.value) == message
+
+
 class TestSubsageStumps:
     def _stump_fixture(self, rng, n=80, m=4, n_trees=7):
         data = random_dataset(rng, n, m)

@@ -416,6 +416,8 @@ class SubSageEngine:
         table[self._empty_slot] += self.ensemble.base_score
         table[self._grid1 : self._grids_end] += table[self._empty_slot]
         s, pairs = len(self._singles), self._n_pairs
+        # Every id indexes the table, so the gathers into buffers pass
+        # mode='clip', which writes ``out`` directly; 'raise' buffers it.
         d0 = np.take(table, self._ids[s])
         # Subset i is the empty set (i = 0) or singleton i: its F is a row
         # of singleton margins (the empty set's is constant), its d is d0
@@ -429,10 +431,10 @@ class SubSageEngine:
             if lo == 0:
                 f[0] = table[self._empty_slot]
             a, b = max(lo, 1), min(hi, pairs + 1)
-            np.take(table, self._ids[a - 1 : hi - 1], out=f[a - lo :])
+            np.take(table, self._ids[a - 1 : hi - 1], out=f[a - lo :], mode="clip")
             d[:] = d0
             if a < b:
-                np.take(table, self._ids[s + a : s + b], out=d[a - lo : b - lo])
+                np.take(table, self._ids[s + a : s + b], out=d[a - lo : b - lo], mode="clip")
                 d[a - lo : b - lo] += d0
             delta[lo:hi] = self._loss_gaps(d, f, w)
         delta /= total
@@ -447,7 +449,7 @@ class SubSageEngine:
         for lo in range(1, len(rest), step):
             part = f_buf[: 1 + min(step, len(rest) - lo)]
             part[0] = d
-            np.take(table, rest[lo : lo + step], out=part[1:])
+            np.take(table, rest[lo : lo + step], out=part[1:], mode="clip")
             part.sum(axis=0, out=d)
         return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
 

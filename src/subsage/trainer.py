@@ -73,34 +73,55 @@ def eval_loss(loss: LossKind, margins: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((1.0 - y) * margins + np.logaddexp(0.0, -margins)))
 
 
-def _best_split(xs: np.ndarray, gs: np.ndarray, hs: np.ndarray, lam: float, gamma: float):
+def _best_split(col, order, gs, hs, lam, gamma, distinct, den=None):
     """Best (gain, threshold) for one feature, or None.
 
-    Scans a node's values sorted ascending with the prefix sums ``gs`` and
-    ``hs`` of its gradients and hessians in that order; candidate thresholds
-    are midpoints between consecutive distinct values, so any value equal
-    to the left endpoint routes left under the strict-below convention.
+    Scans the node's rows ``order``, which sort ``col`` ascending, with the
+    prefix sums ``gs`` and ``hs`` of their gradients and hessians in that
+    order; candidate thresholds are midpoints between consecutive distinct
+    values, so any value equal to the left endpoint routes left under the
+    strict-below convention. In a ``distinct`` column every position is a
+    cut, found without reading values. ``den`` may hold the per-position
+    ``hs[:-1] + lam`` and ``(hs[-1] - hs[:-1]) + lam``.
     """
-    if xs[0] == xs[-1]:
-        return None
     g_tot, h_tot = gs[-1], hs[-1]
-    cut = np.nonzero(xs[:-1] < xs[1:])[0]
-    gl, hl = gs[cut], hs[cut]
-    gr, hr = g_tot - gl, h_tot - hl
-    if hl[0] + lam == 0.0 or hr[-1] + lam == 0.0:
+    if distinct:
+        cut, gl = None, gs[:-1]
+    else:
+        xs = col[order]
+        if xs[0] == xs[-1]:
+            return None
+        cut = (xs[:-1] < xs[1:]).nonzero()[0]
+        gl = gs[cut]
+    if den is None:
+        hl = hs[:-1] if distinct else hs[cut]
+        dl, dr = hl + lam, (h_tot - hl) + lam
+    else:
+        dl, dr = den if distinct else (den[0][cut], den[1][cut])
+    if dl[0] == 0.0 or dr[-1] == 0.0:
         # A child whose hessian sum plus lambda is 0 has no Newton step; hl
         # only grows and hr only shrinks, so the ends are the ones to check.
-        ok = (hl + lam > 0.0) & (hr + lam > 0.0)
+        ok = (dl > 0.0) & (dr > 0.0)
         if not ok.any():
             return None
-        cut, gl, hl, gr, hr = cut[ok], gl[ok], hl[ok], gr[ok], hr[ok]
+        cut = ok.nonzero()[0] if distinct else cut[ok]
+        gl, dl, dr = gl[ok], dl[ok], dr[ok]
     parent = g_tot**2 / (h_tot + lam)
-    gains = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent) - gamma
-    best = int(np.argmax(gains))
+    # 0.5 * (gl**2 / dl + gr**2 / dr - parent) - gamma, in place.
+    gr = g_tot - gl
+    gains = np.square(gl)
+    gains /= dl
+    gains += np.divide(np.square(gr, out=gr), dr, out=gr)
+    gains -= parent
+    gains *= 0.5
+    gains -= gamma
+    best = int(gains.argmax())
     if gains[best] <= 0.0:
         return None
-    t = 0.5 * (xs[cut[best]] + xs[cut[best] + 1])
-    if not (xs[cut[best]] < t <= xs[cut[best] + 1]):
+    c = best if cut is None else cut[best]
+    lo, hi = col[order[c]], col[order[c + 1]]
+    t = 0.5 * (lo + hi)
+    if not (lo < t <= hi):
         return None
     return float(gains[best]), t
 
@@ -108,6 +129,7 @@ def _best_split(xs: np.ndarray, gs: np.ndarray, hs: np.ndarray, lam: float, gamm
 def _grow_tree(
     columns: np.ndarray,
     presorted: np.ndarray,
+    distinct: np.ndarray,
     rows: np.ndarray,
     features: np.ndarray,
     g: np.ndarray,
@@ -116,15 +138,17 @@ def _grow_tree(
 ) -> Tree:
     """Grow one tree on the ascending ``rows`` over ``features``.
 
-    ``presorted[f]`` is the stable argsort of ``columns[f]``. A node that
-    searches keeps, of each of its parent's sorted lists, the rows inside
-    it, so it scans them in the order a stable argsort would give.
+    ``presorted[f]`` is the stable argsort of ``columns[f]``, and
+    ``distinct[f]`` says it has no ties. A node that searches keeps, of each
+    of its parent's sorted lists, the rows inside it, so it scans them in
+    the order a stable argsort would give.
     """
     nodes: list[Node] = []
     inside = np.zeros(columns.shape[1], dtype=bool)
     inside[rows] = True
     # Under squared loss every hessian is 1, so every feature's hessian
-    # prefix is 1..n, exact in float64 and shared by the whole node.
+    # prefix is 1..n, exact in float64, and its per-cut Newton denominators
+    # are shared by the whole node.
     unit_h = bool((h == 1.0).all())
     # Nodes to grow: (id, rows, parent's sorted lists as one features x rows
     # array, rows-inside mask, depth).
@@ -136,15 +160,15 @@ def _grow_tree(
             # keeps exactly len(idx) entries and one compress filters all.
             lists = np.compress(np.take(inside, lists).ravel(), lists)
             lists = lists.reshape(len(features), len(idx))
-            h_prefix = np.arange(1.0, len(idx) + 1.0) if unit_h else None
+            lam, den = cfg.reg_lambda, None
+            if unit_h:
+                hs = np.arange(1.0, len(idx) + 1.0)
+                den = (hs[:-1] + lam, (hs[-1] - hs[:-1]) + lam)
             best = None
             for f, order in zip(features, lists):
                 found = _best_split(
-                    columns[f][order],
-                    np.cumsum(g[order]),
-                    h_prefix if unit_h else np.cumsum(h[order]),
-                    cfg.reg_lambda,
-                    cfg.min_gain,
+                    columns[f], order, g[order].cumsum(), hs if unit_h else h[order].cumsum(),
+                    lam, cfg.min_gain, distinct[f], den,
                 )
                 if found is not None and (best is None or found[0] > best[0]):
                     best = (found[0], int(f), found[1])
@@ -192,6 +216,8 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
     margins_valid = np.full(valid_data.n_rows, base)
     rng = np.random.default_rng(cfg.seed)
     presorted = np.argsort(cols, axis=1, kind="stable")
+    # Every subset of a column without ties has none either; -0.0 ties 0.0.
+    distinct = np.array([bool((x[:-1] < x[1:]).all()) for x in map(np.take, cols, presorted)])
 
     trees: list[Tree] = []
     best_loss = np.inf
@@ -204,7 +230,7 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
         feats = np.arange(m)
         if cfg.colsample < 1.0:
             feats = np.sort(rng.choice(m, size=max(1, int(cfg.colsample * m)), replace=False))
-        tree = _grow_tree(cols, presorted, rows, feats, g, h, cfg)
+        tree = _grow_tree(cols, presorted, distinct, rows, feats, g, h, cfg)
         trees.append(tree)
         margins += tree.sweep(cols, tree.feature_set)
         margins_valid += tree.sweep(valid_data.columns, tree.feature_set)

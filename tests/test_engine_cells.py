@@ -425,3 +425,38 @@ def test_draw_memory_does_not_grow_with_used_features():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+def test_gather_ids_stay_inside_the_table():
+    """Draws gather with ``np.take(..., mode='clip')``, which would clamp an
+    out-of-range id silently; every id must index the (n_slots + 1)-long
+    table a draw builds. Random ragged engines of both losses, with pair
+    and rest rows."""
+    seen = set()
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 7))
+        binary = bool(seed % 2)
+        data = random_dataset(rng, int(rng.integers(4, 40)), m, binary_response=binary)
+        pool = range(int(rng.integers(1, m + 1)))
+        trees = tuple(
+            ragged_tree(rng, data, int(rng.integers(1, 6)), pool)
+            for _ in range(int(rng.integers(1, 9)))
+        )
+        ens = Ensemble(
+            trees=trees,
+            n_features=m,
+            objective="binary-logistic" if binary else "regression",
+            base_score=float(rng.normal()),
+        )
+        loss = LossKind.BINARY_CROSS_ENTROPY if binary else LossKind.SQUARED_ERROR
+        k = int(rng.integers(0, m))
+        engine = SubSageEngine(annotate_probabilities(ens, data), data, k, loss)
+        if k not in engine.used_features:
+            continue
+        ids = engine._ids
+        assert ids.shape[0] == len(engine._singles) + 1 + engine._n_pairs + engine._n_rest
+        assert 0 <= ids.min() and ids.max() < engine._n_slots + 1
+        seen.add((loss, engine._n_pairs > 0, engine._n_rest > 0))
+    for loss in LossKind:
+        assert {(loss, True, True), (loss, False, False)} <= seen

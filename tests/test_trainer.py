@@ -162,34 +162,41 @@ class TestBestSplitZeroHessian:
     """With reg_lambda 0, a cut whose left or right hessian sum is 0 has no
     Newton step: the search skips it instead of dividing by zero (pytest
     turns the RuntimeWarning of such a division into an error). The search
-    takes prefix sums of the sorted gradients and hessians."""
+    takes prefix sums of the sorted gradients and hessians, and scans this
+    column without ties both by its sorted values and as all cuts."""
 
-    xs = np.array([0.0, 1.0, 2.0, 3.0])
+    col = np.array([2.0, 0.0, 3.0, 1.0])
+    order = np.array([1, 3, 0, 2])  # col[order] is 0, 1, 2, 3
     gs = np.cumsum([1.0, -1.0, 2.0, 0.5])
+
+    def split(self, gs, hs, lam):
+        found = [_best_split(self.col, self.order, gs, hs, lam, 0.0, d) for d in (False, True)]
+        assert found[0] == found[1]
+        return found[0]
 
     def test_zero_hessian_prefix_skipped(self):
         # Cuts after rows 0 and 1 leave a left hessian sum of 0.
         hs = np.cumsum([0.0, 0.0, 1.0, 1.0])
-        gain, t = _best_split(self.xs, self.gs, hs, 0.0, 0.0)
+        gain, t = self.split(self.gs, hs, 0.0)
         assert t == 2.5
         assert gain == 0.5 * (2.0**2 + 0.5**2 - 2.5**2 / 2.0)
 
     def test_zero_hessian_suffix_skipped(self):
         # Cuts after rows 1 and 2 leave a right hessian sum of 0.
         hs = np.cumsum([1.0, 1.0, 0.0, 0.0])
-        gain, t = _best_split(self.xs, self.gs, hs, 0.0, 0.0)
+        gain, t = self.split(self.gs, hs, 0.0)
         assert t == 0.5
         assert gain == 0.5 * (1.0**2 + 1.5**2 - 2.5**2 / 2.0)
 
     def test_all_zero_hessians_give_no_split(self):
-        assert _best_split(self.xs, self.gs, np.zeros(4), 0.0, 0.0) is None
+        assert self.split(self.gs, np.zeros(4), 0.0) is None
 
     def test_positive_lambda_keeps_every_cut(self):
         gs, hs = np.cumsum([3.0, 0.0, 0.0, -3.0]), np.cumsum([0.0, 1.0, 1.0, 0.0])
         # The cut after row 0 (left hessian sum 0) wins under lambda 1 ...
-        assert _best_split(self.xs, gs, hs, 1.0, 0.0) == (6.0, 0.5)
+        assert self.split(gs, hs, 1.0) == (6.0, 0.5)
         # ... and is skipped under lambda 0, as is the cut after row 2.
-        assert _best_split(self.xs, gs, hs, 0.0, 0.0) == (9.0, 1.5)
+        assert self.split(gs, hs, 0.0) == (9.0, 1.5)
 
 
 class TestDeterminismAndStructure:

@@ -198,9 +198,9 @@ def test_presorted_trainer_writes_oracle_bytes(case):
         seen_oracle.append((x[order], g[order], h[order]))
         return oracle_split(x, g, h, *args)
 
-    def record_trainer(xs, g_prefix, h_prefix, *args):
-        seen_trainer.append((xs.copy(), g_prefix.copy(), h_prefix.copy()))
-        return trainer_split(xs, g_prefix, h_prefix, *args)
+    def record_trainer(col, order, g_prefix, h_prefix, *args):
+        seen_trainer.append((col[order], g_prefix.copy(), h_prefix.copy()))
+        return trainer_split(col, order, g_prefix, h_prefix, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys.modules[__name__], "oracle_best_split", record_oracle)
@@ -246,3 +246,110 @@ def test_small_fit_model_bytes_pinned(loss):
     )
     digest = hashlib.sha256(model_bytes(train(train_data, valid_data, cfg))).hexdigest()
     assert digest == GOLDEN_MODEL_SHA256[loss]
+
+
+def bits(found):
+    return None if found is None else (np.float64(found[0]).tobytes(), found[1].tobytes())
+
+
+@st.composite
+def distinct_scans(draw):
+    """A column without ties (some neighbours one ulp apart, so a midpoint
+    can round onto an endpoint), its stable order, random gradients, and
+    non-negative hessians with runs of zeros at either end."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = np.unique(np.round(rng.normal(size=3 * n), draw(st.sampled_from([1, 3, 12]))))
+    if xs.size < n:
+        xs = np.append(xs, xs[-1] + np.arange(1, n - xs.size + 1))
+    xs = np.sort(rng.choice(xs, n, replace=False))
+    for i in np.flatnonzero(rng.random(n - 1) < 0.2):
+        xs[i + 1] = np.nextafter(xs[i], np.inf)
+    col = rng.permutation(xs)
+    order = np.argsort(col, kind="stable")
+    g = np.round(rng.normal(size=n), draw(st.sampled_from([0, 1, 6])))
+    h = rng.choice([0.0, 0.25, 1.0], size=n) if draw(st.booleans()) else rng.random(n)
+    h[: draw(st.integers(0, 3))] = 0.0
+    h[len(h) - draw(st.integers(0, 3)) :] = 0.0
+    return col, order, g, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(distinct_scans(), st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.01]))
+def test_all_cuts_scan_equals_gathered_cuts(scan, lam, gamma):
+    """On a column without ties, scanning every position as a cut gives
+    bitwise the split that gathering the values and finding the cuts gives
+    (there, every position), with or without per-node denominators, and
+    both give the argsort oracle's."""
+    col, order, g, h = scan
+    gs, hs = np.cumsum(g[order]), np.cumsum(h[order])
+    den = (hs[:-1] + lam, (hs[-1] - hs[:-1]) + lam)
+    expected = bits(oracle_best_split(col, g, h, lam, gamma))
+    for distinct in (False, True):
+        for shared in (None, den):
+            found = trainer._best_split(col, order, gs, hs, lam, gamma, distinct, shared)
+            assert bits(found) == expected, (distinct, shared is None)
+
+
+def mixed_columns(rng, n):
+    """Columns without ties, with ties, of signed zeros, and without ties
+    but for one -0.0/0.0 pair (a tie under the strict-below convention)."""
+    zero_pair = rng.normal(size=n)
+    zero_pair[rng.choice(n, 2, replace=False)] = (-0.0, 0.0)
+    return np.array([
+        rng.normal(size=n),
+        np.round(rng.normal(size=n), 1),
+        rng.choice([-0.0, 0.0, 0.5, -1.0], size=n),
+        zero_pair,
+        rng.permutation(n).astype(float),
+    ])
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+@pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_mixed_distinct_and_tied_columns_write_oracle_bytes(loss, reg_lambda, seed):
+    """Same model bytes as the oracle on columns with and without ties; a
+    scan skips the value gather only on a column without ties."""
+    rng = np.random.default_rng(seed)
+
+    def data(n):
+        cols = mixed_columns(rng, n)
+        if loss is LossKind.BINARY_CROSS_ENTROPY:
+            y = (cols[0] + rng.normal(size=n) > 0).astype(float)
+            y[:2] = (0.0, 1.0)
+        else:
+            y = np.round(cols[0] - cols[2] + rng.normal(size=n), 1)
+        names = tuple(f"x{j}" for j in range(len(cols)))
+        return Dataset(names, cols, (FeatureKind.CONTINUOUS,) * len(cols), y)
+
+    train_data, valid_data = data(120), data(40)
+    cfg = TrainConfig(
+        learning_rate=0.3,
+        max_depth=2,
+        subsample=0.7,
+        colsample=0.8,
+        reg_lambda=reg_lambda,
+        max_rounds=12,
+        loss=loss,
+        seed=seed,
+    )
+    no_ties = [np.unique(c).size == c.size for c in train_data.columns]
+    assert no_ties == [True, False, False, False, True]
+    flags = []
+    trainer_split = trainer._best_split
+
+    def record(col, order, gs, hs, lam, gamma, distinct, *args):
+        flags.append(([np.array_equal(c, col) for c in train_data.columns].index(True), distinct))
+        return trainer_split(col, order, gs, hs, lam, gamma, distinct, *args)
+
+    try:
+        expected = model_bytes(oracle_train(train_data, valid_data, cfg))
+    except ZeroDivisionError:
+        with pytest.raises(NumericalError, match="zero hessian"):
+            train(train_data, valid_data, cfg)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "_best_split", record)
+        assert model_bytes(train(train_data, valid_data, cfg)) == expected
+    assert flags and all(distinct == no_ties[j] for j, distinct in flags)

@@ -49,7 +49,7 @@ class BootstrapConfig:
             warnings.warn(
                 f"B*alpha = {self.n_draws * self.alpha:.3g} < 1: the lower "
                 "order statistic is the sample minimum",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -151,15 +151,18 @@ def _grow_tree(
     # are shared by the whole node.
     unit_h = bool((h == 1.0).all())
     # Nodes to grow: (id, rows, parent's sorted lists as one features x rows
-    # array, rows-inside mask, depth).
-    stack = [(1, rows, presorted[features], inside, 0)]
+    # array, rows-inside mask, depth). Lists are never written in place, so
+    # the root reads ``presorted`` itself when every feature is drawn.
+    lists = presorted if len(features) == len(presorted) else presorted[features]
+    stack = [(1, rows, lists, inside, 0)]
     while stack:
         node_id, idx, lists, inside, depth = stack.pop()
         if depth < cfg.max_depth and len(idx) >= 2:
-            # Each parent list holds every row of the node once, so each
-            # keeps exactly len(idx) entries and one compress filters all.
-            lists = np.compress(np.take(inside, lists).ravel(), lists)
-            lists = lists.reshape(len(features), len(idx))
+            if lists.shape[1] > len(idx):
+                # Each parent list holds every row of the node once, so each
+                # keeps exactly len(idx) entries and one compress filters all.
+                lists = np.compress(np.take(inside, lists).ravel(), lists)
+                lists = lists.reshape(len(features), len(idx))
             lam, den = cfg.reg_lambda, None
             if unit_h:
                 hs = np.arange(1.0, len(idx) + 1.0)

@@ -104,6 +104,14 @@ def random_ensemble(
     )
 
 
+def dense_phi(shap) -> np.ndarray:
+    """A ShapMatrix's values as rows x n_features, 0 in the column of each
+    feature it keeps no column for."""
+    out = np.zeros((shap.phi.shape[0], shap.n_features))
+    out[:, shap.features] = shap.phi
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -43,6 +43,7 @@ from subsage.tree_model import (
 
 from cond_exp_oracle import SubsetMask, cond_exp_tree
 from conftest import (
+    dense_phi,
     make_depth2,
     make_stump,
     random_dataset,
@@ -307,15 +308,16 @@ def test_criterion_8_shap_efficiency_and_brute_force(rng):
             random_ensemble(rng, data, 5, 2, base_score=0.4), data
         )
         shap = shap_exact(ens, data)
+        phi = dense_phi(shap)
         for i in range(data.n_rows):
             x = data.columns[:, i]
             worst_eff = max(
                 worst_eff,
-                abs(shap.phi0 + shap.phi[i].sum() - predict_margin(ens, x)),
+                abs(shap.phi0 + phi[i].sum() - predict_margin(ens, x)),
             )
         for tree in ens.trees:
             single = Ensemble(trees=(tree,), n_features=4)
-            phi_tree = shap_exact(single, data).phi
+            phi_tree = dense_phi(shap_exact(single, data))
             for i in range(data.n_rows):
                 oracle = brute_force_tree_shap(tree, data.columns[:, i])
                 for k, value in oracle.items():
@@ -493,12 +495,12 @@ def test_criterion_12_true_shap_oracle(pipeline):
     # Fitted-model SHAP against the analytic values on the test split.
     test_d = pipeline["test"]
     annotated = annotate_probabilities(pipeline["model"], test_d)
-    shap = shap_exact(annotated, test_d)
+    phi = dense_phi(shap_exact(annotated, test_d))
     scatter_dir = pipeline["root"]
     correlations = {}
     for feature in (1, 2, 6, 12):
         k = test_d.feature_index(f"x{feature}")
-        model_phi = shap.phi[:, k]
+        model_phi = phi[:, k]
         true_phi = np.array(
             [
                 true_shap(test_d.columns[:, i], feature, moments, cfg)

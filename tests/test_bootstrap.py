@@ -113,8 +113,10 @@ class TestConfigValidation:
             BootstrapConfig(alpha=0.0)
 
     def test_low_resolution_warns(self):
-        with pytest.warns(UserWarning, match="order statistic"):
+        with pytest.warns(UserWarning, match="order statistic") as caught:
             BootstrapConfig(n_draws=10, alpha=0.01)
+        # Attributed to the caller, not to the generated __init__.
+        assert [w.filename for w in caught] == [__file__]
 
 
 def _fixture(rng, n=40, m=4, n_trees=5, pool=None):

@@ -1,20 +1,32 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from subsage.cond_expect import tree_cond_exp_batch
 from subsage.dataset import Dataset, FeatureKind
 from subsage.errors import InputError
-from subsage.shap_erfc import ShapMatrix, erfc, rank_features, shap_exact
+from subsage.shap_erfc import (
+    ShapMatrix,
+    _subsets_in_order,
+    erfc,
+    rank_features,
+    shap_exact,
+    shapley_weight,
+)
 from subsage.tree_model import (
     Ensemble,
+    Tree,
     annotate_probabilities,
+    leaf,
     predict_margin,
 )
 
 from cond_exp_oracle import SubsetMask, cond_exp_tree
-from conftest import make_depth2, make_stump, random_dataset, random_ensemble
+from conftest import dense_phi, make_depth2, make_stump, random_dataset, random_ensemble
+from test_engine_cells import ragged_tree
 
 
 def brute_force_tree_shap(tree, x) -> dict[int, float]:
@@ -48,15 +60,15 @@ class TestShapExact:
         ens = annotate_probabilities(
             Ensemble(trees=(make_stump(1, 0.0, -1.0, 2.0),), n_features=3), data
         )
-        shap = shap_exact(ens, data)
+        phi = dense_phi(shap_exact(ens, data))
         tree = ens.trees[0]
         baseline = cond_exp_tree(tree, SubsetMask.empty())
         for i in range(data.n_rows):
             x = data.columns[:, i]
             # One player: its value is the full prediction minus the mean.
-            assert shap.phi[i, 1] == pytest.approx(tree.predict(x) - baseline, abs=1e-12)
-            assert shap.phi[i, 0] == 0.0
-            assert shap.phi[i, 2] == 0.0
+            assert phi[i, 1] == pytest.approx(tree.predict(x) - baseline, abs=1e-12)
+            assert phi[i, 0] == 0.0
+            assert phi[i, 2] == 0.0
 
     def test_efficiency_every_row(self, rng):
         data = random_dataset(rng, 60, 5)
@@ -64,20 +76,21 @@ class TestShapExact:
             random_ensemble(rng, data, 12, 2, base_score=1.5), data
         )
         shap = shap_exact(ens, data)
+        phi = dense_phi(shap)
         for i in range(data.n_rows):
             x = data.columns[:, i]
-            total = shap.phi0 + shap.phi[i].sum()
+            total = shap.phi0 + phi[i].sum()
             assert total == pytest.approx(predict_margin(ens, x), abs=1e-9)
 
     def test_matches_brute_force_exactly(self, rng):
         data = random_dataset(rng, 25, 4)
         tree = make_depth2(1, 0.0, 2, 0.3, 2, -0.2, (1.0, -2.0, 0.5, 3.0))
         ens = annotate_probabilities(Ensemble(trees=(tree,), n_features=4), data)
-        shap = shap_exact(ens, data)
+        phi = dense_phi(shap_exact(ens, data))
         for i in range(data.n_rows):
             oracle = brute_force_tree_shap(ens.trees[0], data.columns[:, i])
             for k, value in oracle.items():
-                assert shap.phi[i, k] == value
+                assert phi[i, k] == value
 
     def test_symmetry_between_interchangeable_features(self, rng):
         # Two features with identical columns split by mirrored stumps.
@@ -90,17 +103,17 @@ class TestShapExact:
         )
         trees = (make_stump(0, 0.2, -1.0, 1.0), make_stump(1, 0.2, -1.0, 1.0))
         ens = annotate_probabilities(Ensemble(trees=trees, n_features=2), data)
-        shap = shap_exact(ens, data)
-        np.testing.assert_allclose(shap.phi[:, 0], shap.phi[:, 1], atol=1e-9)
+        phi = dense_phi(shap_exact(ens, data))
+        np.testing.assert_allclose(phi[:, 0], phi[:, 1], atol=1e-9)
 
     def test_dummy_feature_identically_zero(self, rng):
         data = random_dataset(rng, 30, 6)
         ens = annotate_probabilities(random_ensemble(rng, data, 8, 2), data)
         used = {f for tree in ens.trees for f in tree.feature_set}
         unused = sorted(set(range(6)) - used)
-        shap = shap_exact(ens, data)
+        phi = dense_phi(shap_exact(ens, data))
         for k in unused:
-            assert np.all(shap.phi[:, k] == 0.0)
+            assert np.all(phi[:, k] == 0.0)
 
     def test_additivity_across_trees(self, rng):
         data = random_dataset(rng, 20, 3)
@@ -108,8 +121,8 @@ class TestShapExact:
         one = Ensemble(trees=(ens.trees[0],), n_features=3)
         two = Ensemble(trees=(ens.trees[1],), n_features=3)
         full = shap_exact(ens, data)
-        parts = shap_exact(one, data).phi + shap_exact(two, data).phi
-        np.testing.assert_array_equal(full.phi, parts)
+        parts = dense_phi(shap_exact(one, data)) + dense_phi(shap_exact(two, data))
+        np.testing.assert_array_equal(dense_phi(full), parts)
 
     def test_unannotated_rejected(self, rng):
         data = random_dataset(rng, 10, 2)
@@ -138,6 +151,128 @@ class TestErfc:
         one = ShapMatrix(phi=np.array([[2.0, 1.0]]), phi0=1.0)
         two = ShapMatrix(phi=np.array([[2.0, 1.0], [2.0, 1.0]]), phi0=1.0)
         np.testing.assert_allclose(erfc(two), 2 * erfc(one))
+
+
+def dense_shap(ensemble, data):
+    """SHAP values as a rows x p matrix, one column per feature, each
+    accumulated over trees in ``shap_exact``'s order."""
+    phi = np.zeros((data.n_rows, ensemble.n_features))
+    phi0 = ensemble.base_score
+    for tree in ensemble.trees:
+        feats = tree.feature_set
+        values = {
+            sub: tree_cond_exp_batch(tree, frozenset(sub), data.columns)
+            for sub in _subsets_in_order(feats)
+        }
+        phi0 += float(values[()])
+        for k in feats:
+            col = np.zeros(data.n_rows)
+            for sub in _subsets_in_order(tuple(f for f in feats if f != k)):
+                with_k = tuple(sorted((*sub, k)))
+                w = shapley_weight(len(sub), len(feats))
+                col += w * (np.asarray(values[with_k]) - np.asarray(values[sub]))
+            phi[:, k] += col
+    return phi, phi0
+
+
+def dense_erfc(phi, phi0):
+    """ERFC over a dense rows x p matrix with rows x p temporaries."""
+    abs_phi = np.abs(phi)
+    denom = abs(phi0) + abs_phi.sum(axis=1)
+    ok = denom > 0
+    shares = np.zeros_like(abs_phi)
+    shares[ok] = abs_phi[ok] / denom[ok, None]
+    return shares.sum(axis=0)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# (p, rows, size of the split-feature pool, deepest tree). numpy sums a
+# one-column matrix's axis 0 pairwise and a wider one row by row; blocks
+# hold 2**17 // p rows, so 40 x 9000 and 3000 x 150 take several and
+# 140 000 x 3 takes one row each, while one feature over 140 000 rows keeps
+# one block; a pool of 0 leaves only leaf trees.
+SHAPES = [
+    (1, 300, 1, 3),
+    (1, 140_000, 1, 2),
+    (2, 257, 1, 2),
+    (40, 9000, 6, 5),
+    (3000, 150, 5, 4),
+    (140_000, 3, 4, 3),
+    (500, 1, 5, 5),
+    (7, 60, 7, 1),
+    (50, 20, 0, 0),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("p,n,pool_size,depth", SHAPES)
+def test_compact_columns_and_streamed_erfc_equal_dense_formulas(p, n, pool_size, depth, seed):
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n, p)
+    pool = rng.choice(p, size=pool_size, replace=False)
+    trees = tuple(
+        ragged_tree(rng, data, int(rng.integers(1, depth + 1)), pool) if pool_size
+        else Tree([leaf(1, float(rng.normal()))])
+        for _ in range(int(rng.integers(1, 9)))
+    )
+    ens = annotate_probabilities(
+        Ensemble(trees=trees, n_features=p, base_score=float(rng.normal())), data
+    )
+    shap = shap_exact(ens, data)
+    phi, phi0 = dense_shap(ens, data)
+    used = sorted({f for tree in trees for f in tree.feature_set})
+    assert shap.features.tolist() == used and shap.n_features == p
+    assert shap.phi.shape == (n, len(used)) and shap.phi0 == phi0
+    assert same_bits(dense_phi(shap), phi)
+    assert same_bits(erfc(shap), dense_erfc(phi, phi0))
+    # phi0 = 0 and rows of zeros: their denominators vanish.
+    zeroed = shap.phi.copy()
+    zeroed[::3] = 0.0
+    compact = ShapMatrix(zeroed, 0.0, shap.features, p)
+    assert same_bits(erfc(compact), dense_erfc(dense_phi(compact), 0.0))
+
+
+def test_rank_memory_follows_used_features():
+    """p = 5000 features over 2000 rows and 60 random depth-2 trees: the
+    SHAP matrix keeps only the used columns and ERFC one block of rows."""
+    rng = np.random.default_rng(5)
+    data = random_dataset(rng, 2000, 5000)
+    ens = annotate_probabilities(random_ensemble(rng, data, 60, 2), data)
+    tracemalloc.start()
+    try:
+        kappa = erfc(shap_exact(ens, data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kappa.shape == (5000,)
+    assert peak < 16e6, peak
+
+
+class TestShapMatrixColumns:
+    def test_two_positional_arguments_mean_every_feature(self):
+        shap = ShapMatrix(np.array([[1.0, 0.0, 2.0]]), 0.5)
+        assert shap.features.tolist() == [0, 1, 2] and shap.n_features == 3
+
+    def test_unused_features_score_zero(self):
+        shap = ShapMatrix(np.array([[1.0, 3.0]]), 0.0, np.array([1, 4]), 6)
+        np.testing.assert_allclose(erfc(shap), [0.0, 0.25, 0.0, 0.0, 0.75, 0.0])
+
+    def test_rows_with_nan_contribute_nothing(self):
+        # Their denominator is NaN, not > 0, as for the dense formula.
+        phi = np.array([[np.nan, 1.0], [1.0, 3.0]])
+        shap = ShapMatrix(phi, 0.0, np.array([0, 2]), 3)
+        assert same_bits(erfc(shap), dense_erfc(dense_phi(shap), 0.0))
+        np.testing.assert_allclose(erfc(shap), [0.25, 0.0, 0.75])
+
+    @pytest.mark.parametrize("features,n_features", [
+        ([0], 3), ([1, 1], 3), ([2, 1], 3), ([-1, 1], 3), ([0, 3], 3), ([0, 2], None),
+    ])
+    def test_bad_feature_columns_rejected(self, features, n_features):
+        with pytest.raises(InputError, match="feature index per column"):
+            ShapMatrix(np.ones((2, 2)), 0.0, np.array(features), n_features)
 
 
 class TestRankFeatures:

@@ -119,16 +119,13 @@ def _blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _weights_total(weights: np.ndarray) -> float:
-    """Sum of row weights, which must be finite, non-negative and not all
-    zero."""
-    total = float(weights.sum())
-    # A finite sum rules out every NaN and infinity.
-    if not (np.isfinite(total) and weights.min() >= 0.0):
-        raise InputError("weights must be finite and non-negative")
-    if total <= 0:
-        raise InputError("weights must have positive total")
-    return total
+def _dense_rank(code: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Codes in [0, bound) renumbered 0, 1, ... in ascending order, as
+    ``np.unique(code, return_inverse=True)`` numbers them, and their count."""
+    seen = np.zeros(bound, bool)
+    seen[code] = True
+    rank = np.cumsum(seen)
+    return rank[code] - 1, int(rank[-1])
 
 
 class SubSageEngine:
@@ -310,20 +307,25 @@ class SubSageEngine:
         return np.unique(np.concatenate(out))
 
     def _cells(self, tids: np.ndarray):
-        """Row cell ids in the space split by threshold ids ``tids``, and the
-        grid cell of each cell's first row for each split feature."""
-        code = np.zeros(self.n, np.int64)
-        bound = 1
+        """Row cell ids in the space split by threshold ids ``tids``, in
+        ascending order of the rows' mixed-radix codes, and the grid cell of
+        each cell's first row for each split feature. Codes are ranked
+        densely whenever their bound passes the row count, so the bound
+        never exceeds rows x (cuts + 1)."""
+        code, bound = np.zeros(self.n, np.intp), 1
         feats = np.unique(self._thr_feat[tids])
         for f in feats:
+            if bound > self.n:
+                code, bound = _dense_rank(code, bound)
             cuts = self._thr_rank[tids[self._thr_feat[tids] == f]]
-            if bound * (len(cuts) + 1) >= 2**62:
-                code = np.unique(code, return_inverse=True)[1]
-                bound = int(code.max()) + 1
-            code = code * (len(cuts) + 1) + np.searchsorted(cuts, self._iv[f])
+            # Cut cell of each grid cell: the number of cuts below it.
+            cut_of = np.searchsorted(cuts, np.arange(np.count_nonzero(self._thr_feat == f) + 1))
+            code = code * (len(cuts) + 1) + cut_of[self._iv[f]]
             bound *= len(cuts) + 1
-        _, first, cells = np.unique(code, return_index=True, return_inverse=True)
-        return cells, {int(f): self._iv[f][first] for f in feats}
+        code, bound = _dense_rank(code, bound)
+        first = np.full(bound, self.n)
+        np.minimum.at(first, code, np.arange(self.n))
+        return code, {int(f): self._iv[f][first] for f in feats}
 
     def _class(self, t: int, known: frozenset[int], sign: float) -> int:
         """Offset of class (t, known) among the leaf coefficients, in build
@@ -366,13 +368,29 @@ class SubSageEngine:
 
     # -- probability refresh -------------------------------------------------
 
+    def _weights(self, weights) -> tuple[np.ndarray, float]:
+        """Row weights as float64 and their total; they must be one per row,
+        finite, non-negative and not all zero."""
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (self.n,):
+            raise InputError("weights length must match row count")
+        total = float(w.sum())
+        # A finite sum rules out every NaN and infinity.
+        if not (np.isfinite(total) and w.min() >= 0.0):
+            raise InputError("weights must be finite and non-negative")
+        if total <= 0:
+            raise InputError("weights must have positive total")
+        return w, total
+
     def probs_for_weights(self, weights: np.ndarray) -> np.ndarray:
         """Branch probabilities recomputed from weighted column fractions.
 
         With multiplicity weights this equals annotating on the materialized
         replicate: both are exact integer counts divided by the total.
         """
-        total = _weights_total(weights)
+        return self._probs(*self._weights(weights))
+
+    def _probs(self, weights: np.ndarray, total: float) -> np.ndarray:
         # Grid spaces own disjoint slots, so each slot's count comes from one
         # row, adding its weights in row order, whichever rows share a call.
         blocks = _blocks(len(self._singles) + 1, self.n)
@@ -400,16 +418,10 @@ class SubSageEngine:
         """Loss differences for the empty set, each used feature's
         singleton and, with two or more of those, the rest subset; None
         when no tree splits on k."""
-        w, total = None, float(self.n)
-        if weights is not None:
-            w = np.asarray(weights, dtype=np.float64)
-            if w.shape != (self.n,):
-                raise InputError("weights length must match row count")
-            total = _weights_total(w)
+        w, total = (np.ones(self.n), float(self.n)) if weights is None else self._weights(weights)
         if self.k not in self.used_features:
             return None
-        p = self._p0 if w is None else self.probs_for_weights(w)
-        w = np.ones(self.n) if w is None else w
+        p = self._p0 if weights is None else self._probs(w, total)
         coef = self._coefficients(p)
         table = np.bincount(self._slot, coef[self._slot_leaf], self._n_slots + 1)
         table += table[self._scalar_of]
@@ -430,9 +442,12 @@ class SubSageEngine:
             f, d = f_buf[: hi - lo], d_buf[: hi - lo]
             if lo == 0:
                 f[0] = table[self._empty_slot]
-            a, b = max(lo, 1), min(hi, pairs + 1)
+            # Rows [a, b) have a pair space; the others take d0 as it is.
+            a = max(lo, 1)
+            b = max(a, min(hi, pairs + 1))
             np.take(table, self._ids[a - 1 : hi - 1], out=f[a - lo :], mode="clip")
-            d[:] = d0
+            d[: a - lo] = d0
+            d[b - lo :] = d0
             if a < b:
                 np.take(table, self._ids[s + a : s + b], out=d[a - lo : b - lo], mode="clip")
                 d[a - lo : b - lo] += d0
@@ -454,9 +469,14 @@ class SubSageEngine:
         return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
 
     def _loss_gaps(self, d, f, w):
-        """Weighted sums of L(f) - L(f + d) per row of margins ``f``."""
+        """Weighted sums of L(f) - L(f + d) per row of margins ``f``, which
+        squared error overwrites."""
         if self.loss is LossKind.SQUARED_ERROR:
-            terms = d * (2.0 * (self.y - f) - d)
+            # d (2 (y - f) - d), formed in f's buffer in that order.
+            terms = np.subtract(self.y, f, out=f)
+            terms *= 2.0
+            terms -= d
+            terms *= d
         else:
             terms = (self.y - 1.0) * d + np.logaddexp(0.0, -f) - np.logaddexp(0.0, -f - d)
         return np.einsum("...j,j->...", terms, w)

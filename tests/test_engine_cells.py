@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subsage import cli
+from subsage import cli, estimator
 from subsage.cond_expect import cond_exp_batch
 from subsage.dataset import Dataset, FeatureKind, ResampleIndex, resample, write_csv
 from subsage.estimator import (
@@ -37,6 +37,7 @@ from subsage.tree_model import (
     write_model,
 )
 
+from cells_oracle import sorted_cells
 from conftest import make_depth2, make_stump, random_dataset
 
 RTOL = 1e-12
@@ -460,3 +461,94 @@ def test_gather_ids_stay_inside_the_table():
         seen.add((loss, engine._n_pairs > 0, engine._n_rest > 0))
     for loss in LossKind:
         assert {(loss, True, True), (loss, False, False)} <= seen
+
+
+def sorting_engine(ensemble, data, k, loss):
+    """The engine with its cells ranked by ``np.unique`` over the codes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SubSageEngine, "_cells", sorted_cells)
+        return SubSageEngine(ensemble, data, k, loss)
+
+
+def assert_cells_match_sorting(ensemble, data, k, loss, seed):
+    """Cell ids, slots and draws of the engine equal those of the sorting
+    ranking bit for bit."""
+    engine = SubSageEngine(ensemble, data, k, loss)
+    oracle = sorting_engine(ensemble, data, k, loss)
+    if k not in engine.used_features:
+        return
+    for name in ("_ids", "_slot", "_slot_leaf"):
+        np.testing.assert_array_equal(getattr(engine, name), getattr(oracle, name), strict=True)
+    n = data.n_rows
+    rng = np.random.default_rng(seed)
+    jackknife = np.ones(n)
+    jackknife[rng.integers(n)] = 0.0
+    for weights in (None, np.bincount(rng.integers(0, n, n), minlength=n).astype(float), jackknife):
+        if weights is None or weights.sum() > 0:
+            assert engine.psi_for_weights(weights) == oracle.psi_for_weights(weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(max_depth=6), st.integers(0, 2**32 - 1))
+def test_dense_cell_ranking_equals_sorting(case, seed):
+    ens, data, k, loss = case
+    assert_cells_match_sorting(annotate_probabilities(ens, data), data, k, loss, seed)
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_code_bound_passing_row_count_mid_space(loss):
+    # Five rows and a depth-3 tree over k = 0 (one cut) and features 1-3
+    # (two cuts each): its rest space's code bound reaches 6 > 5 after
+    # feature 1, so codes are ranked before features 2 and 3 are added.
+    rng = np.random.default_rng(3)
+    binary = loss is LossKind.BINARY_CROSS_ENTROPY
+    data = random_dataset(rng, 5, 4, binary_response=binary)
+    q = lambda f, level: float(np.quantile(data.column(f), level))
+    nodes = [branch(1, 0, q(0, 0.5), 2, 3)]
+    splits = ((2, 1, 0.3), (3, 1, 0.7), (4, 2, 0.3), (5, 2, 0.7), (6, 3, 0.3), (7, 3, 0.7))
+    for nid, f, level in splits:
+        nodes.append(branch(nid, f, q(f, level), 2 * nid, 2 * nid + 1))
+    nodes += [leaf(nid, float(rng.normal())) for nid in range(8, 16)]
+    ens = annotate_probabilities(Ensemble(
+        trees=(Tree(nodes),), n_features=4,
+        objective="binary-logistic" if binary else "regression",
+    ), data)
+    ranks_per_space = []
+    dense_rank, cells = estimator._dense_rank, SubSageEngine._cells
+
+    def counting_cells(self, tids):
+        ranks_per_space.append(0)
+        return cells(self, tids)
+
+    def counting_rank(code, bound):
+        ranks_per_space[-1] += 1
+        return dense_rank(code, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SubSageEngine, "_cells", counting_cells)
+        mp.setattr(estimator, "_dense_rank", counting_rank)
+        SubSageEngine(ens, data, 0, loss)
+    assert max(ranks_per_space) == 3, ranks_per_space
+    assert_cells_match_sorting(ens, data, 0, loss, 4)
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_sixty_three_split_features_in_one_space(loss):
+    # A complete depth-6 tree whose 63 branch nodes each split another
+    # feature at its median: the rest space has 2**63 codes, past what a
+    # 64-bit code holds without ranking part of the way.
+    rng = np.random.default_rng(63)
+    binary = loss is LossKind.BINARY_CROSS_ENTROPY
+    data = random_dataset(rng, 40, 63, binary_response=binary)
+    nodes = [
+        branch(nid, nid - 1, float(np.median(data.column(nid - 1))), 2 * nid, 2 * nid + 1)
+        for nid in range(1, 64)
+    ]
+    nodes += [leaf(nid, float(rng.normal())) for nid in range(64, 128)]
+    tree = Tree(nodes)
+    assert tree.depth == 6 and len(tree.feature_set) == 63
+    ens = annotate_probabilities(Ensemble(
+        trees=(tree,), n_features=63,
+        objective="binary-logistic" if binary else "regression",
+    ), data)
+    assert_cells_match_sorting(ens, data, 0, loss, 5)

@@ -384,14 +384,16 @@ class TestWeightedPathEquivalence:
     @pytest.mark.parametrize("weights, message", [
         (np.ones(29), "weights length must match row count"),
         (np.zeros(30), "weights must have positive total"),
+        (np.ones(31), "weights length must match row count"),
     ])
     def test_weight_shape_and_total_messages(self, rng, weights, message):
         data = random_dataset(rng, 30, 4)
         ens = annotate_probabilities(random_ensemble(rng, data, 6, 2), data)
         engine = SubSageEngine(ens, data, 1, LossKind.SQUARED_ERROR)
-        with pytest.raises(InputError) as exc:
-            engine.psi_for_weights(weights)
-        assert str(exc.value) == message
+        for call in (engine.psi_for_weights, engine.estimate, engine.probs_for_weights):
+            with pytest.raises(InputError) as exc:
+                call(weights)
+            assert str(exc.value) == message
 
 
 class TestSubsageStumps:

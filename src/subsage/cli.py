@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import bootstrap as bs
-from .dataset import load_csv, write_csv
+from .dataset import csv_writer, load_csv, write_csv
 from .errors import InputError, NumericalError
 from .estimator import LossKind
 from .shap_erfc import erfc, rank_features, shap_exact
@@ -203,11 +203,11 @@ def _cmd_subsage(args) -> int:
     Path(args.out).write_text(json.dumps(reports, indent=1) + "\n")
 
     if args.hist_csv:
-        with open(args.hist_csv, "w") as fh:
-            fh.write("feature,iteration,value\n")
+        with open(args.hist_csv, "w", newline="", encoding="utf-8") as fh:
+            out = csv_writer(fh, features)
+            out.writerow(("feature", "iteration", "value"))
             for name, result in zip(features, results):
-                for i, value in enumerate(result.draws.tolist(), start=1):
-                    fh.write(f"{name},{i},{value!r}\n")
+                out.writerows((name, i, v) for i, v in enumerate(result.draws.tolist(), start=1))
 
     header = f"{'feature':>10} {'psi_hat':>12} {'lo':>12} {'hi':>12}"
     lines = [header]

@@ -249,9 +249,19 @@ def load_csv(path: str | Path, response: str) -> Dataset:
 WRITE_CHUNK_ROWS = 1024
 
 
+def csv_writer(fh, names):
+    """``csv`` writer of lines ending in ``\\n`` for rows that hold
+    ``names``. It quotes a field holding a comma, a quote or a newline, and
+    every field if a name holds a carriage return, which it would otherwise
+    quote only under ``\\r\\n`` line ends."""
+    every = any("\r" in name for name in names)
+    return csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL if every else csv.QUOTE_MINIMAL)
+
+
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a Dataset as UTF-8 CSV with shortest round-trip float formatting,
     the response last in a column named ``y``; no feature may share that name.
+    Names are quoted as ``csv`` quotes them, so any name reloads as written.
 
     Rows are formatted a block of ``WRITE_CHUNK_ROWS`` at a time, so the
     Python floats of only one block are alive at once.
@@ -261,7 +271,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     _check_unique(header, f"{path}: duplicate column name")
     cols, resp = dataset.columns, dataset.response
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+        csv_writer(fh, header).writerow(header)
         for i in range(0, dataset.n_rows, WRITE_CHUNK_ROWS):
             block = cols[:, i : i + WRITE_CHUNK_ROWS].T.tolist()
             for row, y in zip(block, resp[i : i + WRITE_CHUNK_ROWS].tolist()):

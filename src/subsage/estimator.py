@@ -128,6 +128,37 @@ def _dense_rank(code: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     return rank[code] - 1, int(rank[-1])
 
 
+def _pack(dims: np.ndarray, slot: int):
+    """Lay out lattices of (rows, columns) ``dims[:, i]`` from table index
+    ``slot`` in padded blocks, largest first: a block takes the next lattice
+    while its padded size stays within twice the cells it holds, so a draw
+    makes a few prefix sums over little padding. Returns each lattice's
+    first index and row stride, the blocks as (start, stop, (lattices, rows,
+    columns)), and the next free index."""
+    order = np.argsort(-dims.prod(axis=0), kind="stable").tolist()
+    origin, stride = np.zeros((2, len(order)), np.intp)
+    blocks = []
+    while order:
+        a, b, cells, n = 0, 0, 0, 0
+        for i in order:
+            size = int(dims[0, i] * dims[1, i])
+            wide = max(a, int(dims[0, i])), max(b, int(dims[1, i]))
+            if n and (n + 1) * wide[0] * wide[1] > 2 * (cells + size):
+                break
+            (a, b), cells, n = wide, cells + size, n + 1
+        same, order = order[:n], order[n:]
+        origin[same], stride[same] = slot + np.arange(n) * a * b, b
+        blocks.append((slot, slot + n * a * b, (n, a, b)))
+        slot += n * a * b
+    return origin, stride, blocks, slot
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integer ranges [first[i], first[i] + count[i]), one after another."""
+    start = np.cumsum(count) - count
+    return np.arange(count.sum()) + np.repeat(first - start, count)
+
+
 class SubSageEngine:
     """Shared state for estimating one feature's sub-SAGE on one dataset.
 
@@ -140,6 +171,12 @@ class SubSageEngine:
     small table per space and gathers the per-subset vectors from them in
     blocks of about ``_BLOCK_FLOATS`` values, so memory is O(rows x spaces)
     ints plus O(rows) floats per draw, however many features are used.
+
+    Grid and pair tables are filled from leaf-box corners: a leaf adds its
+    coefficient at the low corner of its box and takes it off past each
+    high side, so prefix sums over the threshold lattice give every cell the
+    leaves whose box holds it, at O(leaves) entries per (tree, known-set)
+    term whatever the number of cells.
     """
 
     def __init__(self, ensemble: Ensemble, data: Dataset, k: int, loss: LossKind):
@@ -175,7 +212,7 @@ class SubSageEngine:
         # Singletons of features sharing a tree with k first: their d^{m}
         # differs from d^{} by a correction over those trees.
         self._singles.sort(key=lambda m: not with_m[m])
-        self._n_pairs = sum(map(bool, with_m.values()))
+        self._n_pairs = pairs = sum(map(bool, with_m.values()))
 
         # Distinct (feature, threshold) pairs grouped by feature, k first,
         # sorted by threshold; p0 is the annotation their nodes must share.
@@ -199,30 +236,50 @@ class SubSageEngine:
         # Grid cell of each row: the number of thresholds at or below it.
         self._iv = {f: np.searchsorted(g, data.column(f), side="right") for f, g in grids.items()}
 
-        # Per tree: leaf values; the leaf paths as (leaves, depth) arrays of
-        # the threshold id (-1 past the leaf), split feature and direction of
-        # each step; and per split feature the grid cells [lo, hi) of each
-        # leaf's box.
-        self._paths = []
+        # Per tree, the threshold id of each node (-1 at leaves). Flat over
+        # the leaves of every tree, each leaf's value, step count and first
+        # step, and per step (leaf after leaf, root first) its index into a
+        # draw's (p, 1 - p). A box entry is a leaf's grid cells [lo, hi) on
+        # one split feature of its tree, hi = ``none`` if unbounded; a leaf's
+        # entries follow its tree's features in ascending order.
+        none = int(sizes.max()) + 1
+        self._node_tid, values, n_steps, pq, at_box, above, left = [], [], [], [], [], [], []
+        n_boxes = 0
         for tree in trees:
-            leaves, path, left = tree.leaf_paths
-            # Threshold id per node position, and -1 read through step -1.
-            tids = np.full(len(tree.feature) + 1, -1)
+            leaves, n, steps, went_left = tree.leaf_steps
+            tids = np.full(len(tree.feature), -1)
             for f in tree.feature_set:
                 at = np.flatnonzero(tree.feature == f)
                 tids[at] = thr0[f] + np.searchsorted(grids[f], tree.threshold[at])
-            tid, feat = tids[path], np.append(tree.feature, -1)[path]
-            above = self._thr_rank[tid] + 1
-            box = {
-                f: (np.where((feat == f) & ~left, above, 0).max(axis=1),
-                    np.where((feat == f) & left, above, len(self._thr_rank) + 1).min(axis=1))
-                for f in tree.feature_set
-            }
-            self._paths.append((tree.value[leaves], tid, feat, left, box))
-        self._classes: dict[tuple[int, frozenset[int], float], int] = {}
-        self._leaf_value, self._steps, self._n_steps, self._n_coef = [], [], [], 0
-        self._slot, self._slot_leaf = [], []
-        self._scalar_of, self._n_slots = [], 0
+            self._node_tid.append(tids)
+            tid, width = tids[steps], len(tree.feature_set)
+            at_box.append(n_boxes + np.repeat(np.arange(len(leaves)) * width, n)
+                          + np.searchsorted(tree.feature_set, tree.feature[steps]))
+            n_boxes += len(leaves) * width
+            values.append(tree.value[leaves])
+            n_steps.append(n)
+            pq.append(np.where(went_left, tid, tid + len(self._p0)))
+            above.append(self._thr_rank[tid] + 1)
+            left.append(went_left)
+        at_box, above, left = (np.concatenate(a) for a in (at_box, above, left))
+        lo = np.zeros(n_boxes, np.intp)
+        np.maximum.at(lo, at_box[~left], above[~left])
+        hi = np.full(n_boxes, none)
+        np.minimum.at(hi, at_box[left], above[left])
+        del at_box, above, left
+        self._n_leaves = np.array([len(v) for v in values])
+        self._leaf0 = np.cumsum(self._n_leaves) - self._n_leaves
+        self._values, self._leaf_n = np.concatenate(values), np.concatenate(n_steps)
+        self._step0 = np.cumsum(self._leaf_n) - self._leaf_n
+        self._pq = np.concatenate(pq)
+        leaf_tree = np.repeat(np.arange(len(trees)), self._n_leaves)
+        widths = np.array([len(tree.feature_set) for tree in trees])[leaf_tree]
+        box0 = np.cumsum(widths) - widths
+        box_leaf = np.repeat(np.arange(len(leaf_tree)), widths)
+        box_tree = leaf_tree[box_leaf]
+        box_feat = np.concatenate([
+            np.tile(np.array(tree.feature_set, np.intp), n) for tree, n in zip(trees, self._n_leaves)
+        ])
 
         # Rest tables share trees of tau_k while their joint cells stay few.
         def n_cells(group):
@@ -237,74 +294,155 @@ class SubSageEngine:
                 groups.append([t])
         # Gather rows: each singleton's margin F, then d^{} (the empty set's
         # gap and that of every singleton sharing no tree with k), then the
-        # pair and rest tables. The empty set's F is one slot.
-        self._ids = np.empty((s + 1 + self._n_pairs + len(groups), self.n), np.intp)
+        # pair and rest tables.
+        self._ids = np.empty((s + 1 + pairs + len(groups), self.n), np.intp)
+        self._n_rest = len(groups)
 
-        empty, only_k = frozenset(), frozenset((k,))
-        # Grid tables, k first: k's holds d^{} (tau_k trees, {k} minus the
-        # empty set), each singleton m's the margin given x_m, minus f0.
-        offs = []
-        for row, f in zip([s, *range(s)], feats):
-            with_f = tau if f == k else [t for t, tr in enumerate(trees) if f in tr.feature_set]
-            known = frozenset((f,))
-            terms = [(t, c, sign) for t in with_f for c, sign in ((known, 1.0), (empty, -1.0))]
-            offs.append(self._space({f: np.arange(len(grids[f]) + 1)}, terms))
-            np.add(self._iv[f], offs[-1], out=self._ids[row])
-        self._grids_end = self._n_slots
-        self._grid1 = offs[1] if s else self._grids_end
+        # Table entries: each adds a signed leaf coefficient of one class
+        # (tree, known features) at one table index. A class key packs the
+        # tree, up to two features a and b or -1, and whether the leaf's
+        # unknown steps are those on a or b (inv 1) or all others (inv 0).
+        wide = ensemble.n_features + 1
+        entries: list[tuple] = []
+
+        def key(t, a=-1, b=-1, inv=0):
+            return ((t * wide + a + 1) * wide + b + 1) * 2 + inv
+
+        def add(at, keys, leaf, neg, keep=slice(None)):
+            neg = np.broadcast_to(neg, at.shape)
+            entries.append((at[keep], keys[keep], leaf[keep], neg[keep]))
+
+        # Table layout: k's grid row, then the singletons' grid rows, whose
+        # prefix sums hold k's d^{} and each singleton m's margin given x_m;
+        # the empty set's margin; each pair space's (cuts_k + 1) x (cuts_m + 1)
+        # lattice, whose 2-D prefix sums hold d^{m} - d^{} over the tau_k
+        # trees that use m; then the cells of the pair and rest spaces.
+        rows = np.stack((np.ones(s + 1, np.intp), sizes + 1))
+        grid0, _, self._lattices, self._grid1 = _pack(rows[:, :1], 0)
+        grid1, _, blocks, self._grids_end = _pack(rows[:, 1:], self._grid1)
+        grid0 = np.concatenate((grid0, grid1))
+        self._lattices += blocks
+        self._empty_slot = self._grids_end
+        self._ids[s] = self._iv[k]
+        for row, m in enumerate(self._singles):
+            np.add(self._iv[m], grid0[row + 1], out=self._ids[row])
         # Weighted count below threshold j of f = cumulative weight of f's
         # grid cells 0..j; integer weights keep every partial sum exact.
-        self._count_lo = np.repeat(offs, sizes)
+        self._count_lo = np.repeat(grid0, sizes)
         self._count_hi = self._count_lo + self._thr_rank + 1
-        self._empty_slot = self._space({}, [(t, empty, 1.0) for t in range(len(trees))])
+        row_of = np.full(ensemble.n_features, -1)
+        row_of[feats] = np.arange(s + 1)
+        base = grid0[row_of[box_feat]]
+        opened = lo < hi
+        closed = opened & (hi < none)
+        known = key(box_tree, box_feat)
+        add(base + lo, known, box_leaf, False, opened)
+        add(base + hi, known, box_leaf, True, closed)
+        add(base, key(box_tree), box_leaf, True)
+        add(np.full(len(leaf_tree), self._empty_slot), key(leaf_tree), np.arange(len(leaf_tree)), False)
 
-        # Pair tables: d^{m} - d^{} over the tau_k trees that use m.
-        for row, m in enumerate(self._singles[: self._n_pairs], s + 1):
-            only_m, both = frozenset((m,)), frozenset((k, m))
-            cells, rep = self._cells(self._tids(with_m[m], k, m))
-            np.add(cells, self._space(rep, [
-                (t, c, sign) for t in with_m[m] for c, sign in
-                ((both, 1.0), (only_k, -1.0), (only_m, -1.0), (empty, 1.0))
-            ]), out=self._ids[row])
-        # Rest tables: d^rest over their tau_k trees.
-        for row, group in enumerate(groups, s + 1 + self._n_pairs):
-            cells, rep = self._cells(self._tids(group))
-            np.add(cells, self._space(rep, [
-                (t, c, sign) for t in group for c, sign in (
-                    (frozenset(trees[t].feature_set), 1.0),
-                    (frozenset(trees[t].feature_set) - only_k, -1.0))
-            ]), out=self._ids[row])
-        self._n_rest = len(groups)
+        # Pair spaces: the cut ranks of k and of m in the trees they share; a
+        # lattice position on either axis is the number of cuts below it.
+        cuts, cells = ([], []), []
+        for i, m in enumerate(self._singles[:pairs]):
+            tids = self._tids(with_m[m], k, m)
+            for axis, f in enumerate((k, m)):
+                cuts[axis].append(self._thr_rank[tids[self._thr_feat[tids] == f]])
+            self._ids[s + 1 + i], rep = self._cells(tids)
+            cells.append([np.searchsorted(c[-1], rep[f]) for c, f in zip(cuts, (k, m))])
+        dims = np.array([[len(c) + 1 for c in axis] for axis in cuts], np.intp).reshape(2, pairs)
+        origin, stride, blocks, slot = _pack(dims, self._empty_slot + 1)
+        self._lattices += blocks
+        self._pair_at = np.concatenate([
+            origin[i] + j * stride[i] + l for i, (j, l) in enumerate(cells)
+        ] or [np.zeros(0, np.intp)])
+        self._pairs0 = slot
+        for row, (j, _) in enumerate(cells, s + 1):
+            self._ids[row] += slot
+            slot += len(j)
+        # Corners of each shared tree's leaf boxes: both features known, then
+        # k only, m only, and neither.
+        pair_of = np.full(ensemble.n_features, -1)
+        pair_of[self._singles[:pairs]] = np.arange(pairs)
+        has_k = np.array([k in tree.feature_set for tree in trees])
+        at_k = np.array([np.searchsorted(tree.feature_set, k) for tree in trees])
+        sel = np.flatnonzero((pair_of[box_feat] >= 0) & has_k[box_tree])
+        leaf, t, m = box_leaf[sel], box_tree[sel], box_feat[sel]
+        i = pair_of[m]
+        kb = box0[leaf] + at_k[t]
+        ok_k, ok_m = lo[kb] < hi[kb], lo[sel] < hi[sel]
+        cap_k, cap_m = ok_k & (hi[kb] < none), ok_m & (hi[sel] < none)
+        # Every pair's cuts in one sorted array per axis, pair i's offset by
+        # i * (none + 1), so one searchsorted maps all bounds at once.
+        keys = [
+            np.concatenate([c + j * (none + 1) for j, c in enumerate(axis)] + [np.zeros(0, np.intp)])
+            for axis in cuts
+        ]
+        below = np.cumsum(dims - 1, axis=1) - (dims - 1)
+        k_lo, k_hi, m_lo, m_hi = (
+            np.searchsorted(keys[axis], i * (none + 1) + x) - below[axis, i]
+            for axis, x in ((0, lo[kb]), (0, hi[kb]), (1, lo[sel]), (1, hi[sel]))
+        )
+        k_lo, k_hi = k_lo * stride[i], k_hi * stride[i]
+        base = origin[i]
+        both, only_k, only_m = key(t, k, m), key(t, k), key(t, m)
+        add(base + k_lo + m_lo, both, leaf, False, ok_k & ok_m)
+        add(base + k_hi + m_lo, both, leaf, True, cap_k & ok_m)
+        add(base + k_lo + m_hi, both, leaf, True, ok_k & cap_m)
+        add(base + k_hi + m_hi, both, leaf, False, cap_k & cap_m)
+        add(base + k_lo, only_k, leaf, True, ok_k)
+        add(base + k_hi, only_k, leaf, False, cap_k)
+        add(base + m_lo, only_m, leaf, True, ok_m)
+        add(base + m_hi, only_m, leaf, False, cap_m)
+        add(base, key(t), leaf, False)
+
+        # Rest tables: d^rest over their tau_k trees, one entry per (cell,
+        # leaf) whose box holds the cell, with every feature of the leaf's
+        # tree known and then with all but k.
+        for row, group in enumerate(groups, s + 1 + pairs):
+            cell, rep = self._cells(self._tids(group))
+            np.add(cell, slot, out=self._ids[row])
+            space = np.array(sorted(rep))
+            leaves = _ranges(self._leaf0[group], self._n_leaves[group])
+            n = len(leaves)
+            bounds = np.zeros((2, len(space), 2 * n), np.intp)
+            bounds[1] = none
+            box = _ranges(box0[leaves], widths[leaves])
+            col, feat = np.repeat(np.arange(n), widths[leaves]), np.searchsorted(space, box_feat[box])
+            bounds[:, feat, col] = lo[box], hi[box]
+            other = box_feat[box] != k
+            bounds[:, feat[other], n + col[other]] = lo[box[other]], hi[box[other]]
+            ok = np.ones((len(rep[k]), 2 * n), bool)
+            for (low, high), f in zip(bounds.transpose(1, 0, 2), space):
+                x = rep[f][:, None]
+                ok &= (low <= x) & (x < high)
+            cell, c = np.nonzero(ok)
+            t = leaf_tree[leaves]
+            add(slot + cell, np.concatenate((key(t, inv=1), key(t, k, inv=1)))[c], leaves[c % n], c >= n)
+            slot += len(rep[k])
+        self._n_slots = slot
         if self._n_rest:
             self._pred = predict_margin_batch(ensemble, data)
-        self._scalar_of = np.array(self._scalar_of + [-1], dtype=np.intp)
-        # Coefficients ordered by their number of unknown steps, most first
-        # (ties in class order), so that step j of a draw multiplies a prefix.
-        steps, n_steps = np.concatenate(self._steps), np.concatenate(self._n_steps)
-        order = np.argsort(-n_steps, kind="stable")
-        first = (np.cumsum(n_steps) - n_steps)[order]
-        self._steps = [
-            steps[first[: np.count_nonzero(n_steps > j)] + j] for j in range(n_steps.max())
-        ]
-        self._leaf_value = np.concatenate(self._leaf_value)[order]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        self._slot = np.concatenate(self._slot)
-        self._slot_leaf = rank[np.concatenate(self._slot_leaf)]
-        del self._paths, self._classes, self._iv, self._n_steps
+
+        at, keys, leaf, neg = (np.concatenate(a) for a in zip(*entries))
+        del entries
+        classes, of = np.unique(keys, return_inverse=True)
+        inv, classes = classes % 2, classes // 2
+        b, classes = classes % wide - 1, classes // wide
+        first, rank = self._classes(classes // wide, classes % wide - 1, b, inv.astype(bool))
+        self._entry_at = at
+        self._entry_src = rank[first[of] + leaf - self._leaf0[leaf_tree[leaf]]] + neg * len(rank)
+        del self._iv, self._node_tid, self._values, self._leaf_n, self._step0, self._pq
+        del self._n_leaves, self._leaf0
 
     # -- build helpers -------------------------------------------------------
 
     def _tids(self, tree_ids, *features) -> np.ndarray:
         """Distinct threshold ids of the given trees' splits, only those on
         ``features`` if any are given."""
-        out = []
-        for t in tree_ids:
-            tid, feat = self._paths[t][1:3]
-            if features:
-                tid = tid[np.logical_or.reduce([feat == f for f in features])]
-            out.append(tid[tid >= 0])
-        return np.unique(np.concatenate(out))
+        tids = np.unique(np.concatenate([self._node_tid[t] for t in tree_ids]))
+        tids = tids[tids >= 0]
+        return tids[np.isin(self._thr_feat[tids], features)] if features else tids
 
     def _cells(self, tids: np.ndarray):
         """Row cell ids in the space split by threshold ids ``tids``, in
@@ -327,44 +465,40 @@ class SubSageEngine:
         np.minimum.at(first, code, np.arange(self.n))
         return code, {int(f): self._iv[f][first] for f in feats}
 
-    def _class(self, t: int, known: frozenset[int], sign: float) -> int:
-        """Offset of class (t, known) among the leaf coefficients, in build
-        order: ``sign`` * leaf value times the probabilities of the unknown
-        steps."""
-        key = (t, known, sign)
-        if key not in self._classes:
-            vals, tid, feat, left, _ = self._paths[t]
-            unknown = tid >= 0
-            for f in known:
-                unknown &= feat != f
-            # Per leaf, its unknown steps root first as indices into the
-            # draw's (p, 1 - p); known steps would multiply by 1.0.
-            self._steps.append(np.where(left, tid, tid + len(self._p0))[unknown])
-            self._n_steps.append(unknown.sum(axis=1))
-            self._classes[key] = self._n_coef
-            self._n_coef += len(vals)
-            self._leaf_value.append(sign * vals)
-        return self._classes[key]
-
-    def _space(self, rep, terms) -> int:
-        """Allocate a table with one slot per cell of ``rep`` (one if empty)
-        plus one for the terms with nothing known, which every cell shares;
-        add each term ``sign`` * h_{t, known}: per cell, the leaves whose box
-        lies in the cell's grid cells. Returns the first slot."""
-        off = self._n_slots
-        n_cells = len(next(iter(rep.values()), [0]))
-        for t, known, sign in terms:
-            vals, *_, box = self._paths[t]
-            ok = np.ones((n_cells if known else 1, len(vals)), bool)
-            for f in known:
-                lo, hi = box[f]
-                ok &= (lo <= rep[f][:, None]) & (rep[f][:, None] < hi)
-            cells, leaves = np.nonzero(ok)
-            self._slot.append(off + cells + (0 if known else n_cells))
-            self._slot_leaf.append(self._class(t, known, sign) + leaves)
-        self._scalar_of += [off + n_cells] * n_cells + [-1]
-        self._n_slots += n_cells + 1
-        return off
+    def _classes(self, tree, a, b, inv):
+        """Set up the leaf coefficients of the classes (tree, a, b, inv), in
+        that order: a leaf's value times the probabilities of its unknown
+        steps, root first; its steps on features a and b are known unless
+        ``inv``, when only those are unknown. A draw computes them most
+        unknown steps first (ties in class order). Returns each class's
+        first coefficient in class order and each coefficient's draw index."""
+        count = self._n_leaves[tree]
+        leaves = _ranges(self._leaf0[tree], count)
+        owner = np.repeat(np.arange(len(tree)), count)
+        n_all = self._leaf_n[leaves]
+        n_unknown = np.zeros(len(leaves), np.intp)
+        steps = [np.zeros(0, np.intp)]
+        # Chunks of about 2**18 steps bound the build's temporaries.
+        ends = np.searchsorted(np.cumsum(n_all), np.arange(2**18, n_all.sum(), 2**18))
+        for lo, hi in zip([0, *ends], [*ends, len(leaves)]):
+            at = np.repeat(np.arange(hi - lo), n_all[lo:hi])
+            pq = self._pq[_ranges(self._step0[leaves[lo:hi]], n_all[lo:hi])]
+            c = owner[lo:hi][at]
+            f = self._thr_feat[pq % len(self._p0)]
+            unknown = ((f != a[c]) & (f != b[c])) != inv[c]
+            steps.append(pq[unknown])
+            n_unknown[lo:hi] = np.bincount(at[unknown], minlength=hi - lo)
+        steps = np.concatenate(steps)
+        order = np.argsort(-n_unknown, kind="stable")
+        first = (np.cumsum(n_unknown) - n_unknown)[order]
+        self._steps = [
+            steps[first[: np.count_nonzero(n_unknown > j)] + j]
+            for j in range(n_unknown.max(initial=0))
+        ]
+        self._leaf_value = self._values[leaves][order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return np.cumsum(count) - count, rank
 
     # -- probability refresh -------------------------------------------------
 
@@ -414,6 +548,23 @@ class SubSageEngine:
             coef[: len(col)] *= pq[col]
         return coef
 
+    def _table(self, p: np.ndarray) -> np.ndarray:
+        """Every table under branch probabilities ``p``: one bincount of the
+        signed coefficients, prefix sums along both axes of every block of
+        grid rows and pair lattices, and each pair cell read from its lattice."""
+        coef = self._coefficients(p)
+        signed = np.concatenate((coef, -coef))
+        table = np.bincount(self._entry_at, signed[self._entry_src], self._n_slots)
+        for lo, hi, shape in self._lattices:
+            lattice = table[lo:hi].reshape(shape)
+            lattice.cumsum(axis=2, out=lattice)
+            if shape[1] > 1:
+                lattice.cumsum(axis=1, out=lattice)
+        table[self._pairs0 : self._pairs0 + len(self._pair_at)] = table[self._pair_at]
+        table[self._empty_slot] += self.ensemble.base_score
+        table[self._grid1 : self._grids_end] += table[self._empty_slot]
+        return table
+
     def _delta_rows(self, weights) -> np.ndarray | None:
         """Loss differences for the empty set, each used feature's
         singleton and, with two or more of those, the rest subset; None
@@ -421,12 +572,7 @@ class SubSageEngine:
         w, total = (np.ones(self.n), float(self.n)) if weights is None else self._weights(weights)
         if self.k not in self.used_features:
             return None
-        p = self._p0 if weights is None else self._probs(w, total)
-        coef = self._coefficients(p)
-        table = np.bincount(self._slot, coef[self._slot_leaf], self._n_slots + 1)
-        table += table[self._scalar_of]
-        table[self._empty_slot] += self.ensemble.base_score
-        table[self._grid1 : self._grids_end] += table[self._empty_slot]
+        table = self._table(self._p0 if weights is None else self._probs(w, total))
         s, pairs = len(self._singles), self._n_pairs
         # Every id indexes the table, so the gathers into buffers pass
         # mode='clip', which writes ``out`` directly; 'raise' buffers it.

@@ -9,6 +9,7 @@ binning, sparsity handling, or multiclass objectives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,9 @@ def _best_split(col, order, gs, hs, lam, gamma, distinct, den=None):
     return float(gains[best]), t
 
 
+# Under logistic loss with reg_lambda 0 a saturated sigmoid leaves hessian
+# sums so small that a split gain overflows; one errstate per tree raises it.
+@np.errstate(over="raise", invalid="raise")
 def _grow_tree(
     columns: np.ndarray,
     presorted: np.ndarray,
@@ -168,13 +172,18 @@ def _grow_tree(
                 hs = np.arange(1.0, len(idx) + 1.0)
                 den = (hs[:-1] + lam, (hs[-1] - hs[:-1]) + lam)
             best = None
-            for f, order in zip(features, lists):
-                found = _best_split(
-                    columns[f], order, g[order].cumsum(), hs if unit_h else h[order].cumsum(),
-                    lam, cfg.min_gain, distinct[f], den,
-                )
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], int(f), found[1])
+            try:
+                for f, order in zip(features, lists):
+                    found = _best_split(
+                        columns[f], order, g[order].cumsum(), hs if unit_h else h[order].cumsum(),
+                        lam, cfg.min_gain, distinct[f], den,
+                    )
+                    if found is not None and (best is None or found[0] > best[0]):
+                        best = (found[0], int(f), found[1])
+            except FloatingPointError:
+                raise NumericalError(
+                    f"node {node_id}: split gain overflows; use reg_lambda > 0"
+                ) from None
             if best is not None:
                 _, f, t = best
                 nodes.append(branch(node_id, f, t, 2 * node_id, 2 * node_id + 1))
@@ -188,6 +197,8 @@ def _grow_tree(
         if h_sum + cfg.reg_lambda == 0.0:
             raise NumericalError(f"leaf {node_id} has zero hessian; use reg_lambda > 0")
         value = -g_sum / (h_sum + cfg.reg_lambda) * cfg.learning_rate
+        if not math.isfinite(value):
+            raise NumericalError(f"leaf {node_id} step overflows; use reg_lambda > 0")
         nodes.append(leaf(node_id, value))
     return Tree(nodes)
 

@@ -165,23 +165,25 @@ class Tree:
         return vals[0]
 
     @cached_property
-    def leaf_paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Leaf positions in left-first order, and per leaf the positions of
-        its root-to-leaf branch steps as a (leaves, depth) array (-1 past
-        the leaf) with whether each step goes left."""
+    def leaf_steps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Leaf positions in left-first order, the number of root-to-leaf
+        branch steps of each, and flat, leaf after leaf and root first, the
+        position of each step's branch and whether the step goes left."""
         parent, level_of = np.array(self._parent), np.array(self._level)
         leaves = np.flatnonzero(self.left < 0)
-        steps = np.full((len(leaves), self.depth), -1)
-        went_left = np.zeros(steps.shape, dtype=bool)
-        rows = np.flatnonzero(level_of[leaves] > 0)
-        cur = leaves[rows]
-        while len(rows):
+        n_steps = level_of[leaves]
+        steps = np.empty(n_steps.sum(), np.intp)
+        went_left = np.empty(len(steps), bool)
+        below = n_steps > 0
+        first, cur = (np.cumsum(n_steps) - n_steps)[below], leaves[below]
+        while len(cur):
             up = parent[cur]
-            level = level_of[up]
-            steps[rows, level] = up
-            went_left[rows, level] = self.left[up] == cur
-            rows, cur = rows[level > 0], up[level > 0]
-        return leaves, steps, went_left
+            at = first + level_of[up]
+            steps[at] = up
+            went_left[at] = self.left[up] == cur
+            below = level_of[up] > 0
+            first, cur = first[below], up[below]
+        return leaves, n_steps, steps, went_left
 
     def predict(self, x: Sequence[float]) -> float:
         out = self.sweep(np.asarray(x, dtype=np.float64)[:, None], self.feature_set)

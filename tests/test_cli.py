@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ import pytest
 
 import subsage
 from subsage.cli import main
-from subsage.dataset import load_csv, write_csv
+from subsage.dataset import Dataset, FeatureKind, load_csv, write_csv
+from subsage.tree_model import Ensemble, write_model
 
-from conftest import random_dataset
+from conftest import make_stump, random_dataset
 
 
 def run(args):
@@ -343,6 +345,26 @@ class TestSubsageCommand:
         lines = hist.read_text().strip().splitlines()
         assert lines[0] == "feature,iteration,value"
         assert len(lines) == 1 + 2 * 8
+        assert lines[1] == f"x6,1,{docs[0]['draws'][0]!r}"
+
+    def test_hist_csv_quotes_feature_names(self, tmp_path, rng):
+        names = ("a,b", 'q"t', "x2")
+        data = Dataset(names, rng.normal(size=(3, 30)), (FeatureKind.CONTINUOUS,) * 3,
+                       rng.normal(size=30))
+        data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+        write_csv(data, data_csv)
+        write_model(Ensemble(trees=(make_stump(0, 0.0, -1.0, 1.0),), n_features=3), model_path)
+        hist = tmp_path / "draws.csv"
+        code = run([
+            "subsage", "--model", model_path, "--test", data_csv, "--feature", "a,b",
+            "--feature", 'q"t', "--bootstrap", 4, "--alpha", "0.25", "--bca", "off", "--hist-csv", hist,
+            "--out", tmp_path / "report.json",
+        ])
+        assert code == 0
+        with hist.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["feature", "iteration", "value"]
+        assert [r[:2] for r in rows[1:]] == [[f, str(i)] for f in names[:2] for i in (1, 2, 3, 4)]
 
     def test_warns_when_test_is_train(self, small_pipeline, tmp_path, capsys):
         data_csv, model_path = small_pipeline

@@ -96,6 +96,31 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.columns, data.columns)
         np.testing.assert_array_equal(back.response, data.response)
 
+    @pytest.mark.parametrize("names", [
+        ("a,b", "c"),
+        ('say "hi"', '"', "plain"),
+        ("two\nlines", "x", "a,\"b\"\nc"),
+        ("carriage\rreturn", "x,"),
+    ])
+    def test_round_trip_of_names_needing_quotes(self, tmp_path, rng, names):
+        data = Dataset(names, rng.normal(size=(len(names), 6)),
+                       (FeatureKind.CONTINUOUS,) * len(names), rng.normal(size=6))
+        path = tmp_path / "quoted.csv"
+        write_csv(data, path)
+        back = load_csv(path, response="y")
+        assert back.feature_names == names
+        np.testing.assert_array_equal(back.columns, data.columns)
+        np.testing.assert_array_equal(back.response, data.response)
+        again = tmp_path / "again.csv"
+        write_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_plain_header_is_not_quoted(self, tmp_path):
+        data = Dataset(("x0", "x_1"), np.zeros((2, 1)), (FeatureKind.CONTINUOUS,) * 2, np.ones(1))
+        path = tmp_path / "plain.csv"
+        write_csv(data, path)
+        assert path.read_bytes() == b"x0,x_1,y\n0.0,0.0,1.0\n"
+
 
 class TestSplit:
     def test_exact_multiples(self, rng):

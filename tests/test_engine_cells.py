@@ -24,6 +24,7 @@ from subsage.estimator import (
     LossKind,
     SubSageEngine,
     _blocks,
+    _pack,
     build_subset_family,
     subsage_estimate,
 )
@@ -38,7 +39,8 @@ from subsage.tree_model import (
 )
 
 from cells_oracle import sorted_cells
-from conftest import make_depth2, make_stump, random_dataset
+from conftest import make_depth2, make_stump, random_dataset, random_ensemble
+from slot_engine import SlotEngine, leaf_paths
 
 RTOL = 1e-12
 
@@ -174,33 +176,30 @@ class PaddedEngine(SubSageEngine):
     """The engine with its former step matrix: every coefficient's factors
     padded to the ensemble's maximum depth, the constant 1.0 standing for
     each known step and each step past the leaf, multiplied one depth row at
-    a time. Coefficients are returned in the engine's order: most unknown
-    steps first, ties in class order."""
+    a time, from each class's dense (leaves, depth) paths. Coefficients are
+    returned in the engine's order: most unknown steps first, ties in class
+    order."""
 
-    def __init__(self, ensemble, data, k, loss):
-        self._depth = max(1, ensemble.max_depth)
-        self._padded, self._values = [], []
-        super().__init__(ensemble, data, k, loss)
-
-    def _class(self, t, known, sign):
-        new = (t, known, sign) not in self._classes
-        offset = super()._class(t, known, sign)
-        if new:
-            vals, tid, feat, left, _ = self._paths[t]
-            one = 2 * len(self._p0)
-            fixed = tid < 0
-            for f in known:
-                fixed |= feat == f
-            cols = np.full((len(vals), self._depth), one)
+    def _classes(self, tree, a, b, inv):
+        out = super()._classes(tree, a, b, inv)
+        depth = max(1, self.ensemble.max_depth)
+        one = 2 * len(self._p0)
+        self._padded, self._padded_values = [], []
+        for t, fa, fb, flip in zip(tree.tolist(), a.tolist(), b.tolist(), inv.tolist()):
+            leaves, path, left = leaf_paths(self.ensemble.trees[t])
+            tid = np.append(self._node_tid[t], -1)[path]
+            feat = np.append(self.ensemble.trees[t].feature, -1)[path]
+            fixed = (tid < 0) | (((feat == fa) | (feat == fb)) != flip)
+            cols = np.full((len(leaves), depth), one)
             cols[:, : tid.shape[1]] = np.where(fixed, one, np.where(left, tid, tid + one // 2))
             self._padded.append(cols.T)
-            self._values.append(sign * vals)
-        return offset
+            self._padded_values.append(self.ensemble.trees[t].value[leaves])
+        return out
 
     def _coefficients(self, p):
         pp = np.concatenate((p, 1.0 - p, (1.0,)))
         padded = np.hstack(self._padded)
-        coef = np.concatenate(self._values)
+        coef = np.concatenate(self._padded_values)
         for col in padded:
             coef = coef * pp[col]
         order = np.argsort(-(padded < 2 * len(p)).sum(axis=0), kind="stable")
@@ -312,12 +311,7 @@ class WholeMatrixEngine(SubSageEngine):
             return None
         w = np.ones(self.n) if weights is None else weights
         total = float(w.sum())
-        p = self._p0 if weights is None else self.probs_for_weights(w)
-        coef = self._coefficients(p)
-        table = np.bincount(self._slot, coef[self._slot_leaf], self._n_slots + 1)
-        table += table[self._scalar_of]
-        table[self._empty_slot] += self.ensemble.base_score
-        table[self._grid1 : self._grids_end] += table[self._empty_slot]
+        table = self._table(self._p0 if weights is None else self.probs_for_weights(w))
         x = np.take(table, self._whole)
         s = len(self._singles)
         x[s + 2 : s + 2 + self._n_pairs] += x[s + 1]
@@ -430,8 +424,8 @@ def test_draw_memory_does_not_grow_with_used_features():
 
 def test_gather_ids_stay_inside_the_table():
     """Draws gather with ``np.take(..., mode='clip')``, which would clamp an
-    out-of-range id silently; every id must index the (n_slots + 1)-long
-    table a draw builds. Random ragged engines of both losses, with pair
+    out-of-range id silently; every id must index the n_slots-long table a
+    draw builds. Random ragged engines of both losses, with pair
     and rest rows."""
     seen = set()
     for seed in range(60):
@@ -457,7 +451,7 @@ def test_gather_ids_stay_inside_the_table():
             continue
         ids = engine._ids
         assert ids.shape[0] == len(engine._singles) + 1 + engine._n_pairs + engine._n_rest
-        assert 0 <= ids.min() and ids.max() < engine._n_slots + 1
+        assert 0 <= ids.min() and ids.max() < engine._n_slots
         seen.add((loss, engine._n_pairs > 0, engine._n_rest > 0))
     for loss in LossKind:
         assert {(loss, True, True), (loss, False, False)} <= seen
@@ -471,13 +465,13 @@ def sorting_engine(ensemble, data, k, loss):
 
 
 def assert_cells_match_sorting(ensemble, data, k, loss, seed):
-    """Cell ids, slots and draws of the engine equal those of the sorting
-    ranking bit for bit."""
+    """Cell ids, table entries, pair cell positions and draws of the engine
+    equal those of the sorting ranking bit for bit."""
     engine = SubSageEngine(ensemble, data, k, loss)
     oracle = sorting_engine(ensemble, data, k, loss)
     if k not in engine.used_features:
         return
-    for name in ("_ids", "_slot", "_slot_leaf"):
+    for name in ("_ids", "_entry_at", "_entry_src", "_pair_at"):
         np.testing.assert_array_equal(getattr(engine, name), getattr(oracle, name), strict=True)
     n = data.n_rows
     rng = np.random.default_rng(seed)
@@ -552,3 +546,92 @@ def test_sixty_three_split_features_in_one_space(loss):
         objective="binary-logistic" if binary else "regression",
     ), data)
     assert_cells_match_sorting(ens, data, 0, loss, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(max_depth=6), st.integers(0, 2**32 - 1))
+def test_corner_tables_match_slot_reference(case, seed):
+    """Corner-filled tables against the per-cell slot fill of
+    ``slot_engine``: the same branch probabilities, and the same per-subset
+    deltas, point estimate and draws within RTOL on the loss scale, for
+    plain, bootstrap and jackknife weights."""
+    ens, data, k, loss = case
+    annotated = annotate_probabilities(ens, data)
+    engine = SubSageEngine(annotated, data, k, loss)
+    oracle = SlotEngine(annotated, data, k, loss)
+    if k not in engine.used_features:
+        assert engine.estimate() == oracle.estimate()
+        return
+    scale = loss_scale(ens, data, loss)
+    n = data.n_rows
+    rng = np.random.default_rng(seed)
+    jackknife = np.ones(n)
+    jackknife[rng.integers(n)] = 0.0
+    bootstrap = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+    for weights in (None, bootstrap, jackknife):
+        if weights is not None and weights.sum() == 0:
+            continue
+        if weights is not None:
+            np.testing.assert_array_equal(
+                engine.probs_for_weights(weights), oracle.probs_for_weights(weights)
+            )
+        for a, b in zip(engine._delta_rows(weights), oracle._delta_rows(weights)):
+            assert_close(a, b, scale)
+        fast, slow = engine.estimate(weights), oracle.estimate(weights)
+        assert_close(fast.psi_hat, slow.psi_hat, scale)
+        for subset, delta in slow.per_subset_deltas.items():
+            assert_close(fast.per_subset_deltas[subset], delta, scale)
+
+
+def grid_and_pair_entries(engine) -> int:
+    """Table entries outside the rest spaces: grid rows, the empty set's
+    slot and the pair lattices."""
+    return int(np.count_nonzero(engine._entry_at < engine._pairs0))
+
+
+def test_grid_and_pair_entries_grow_with_trees_not_rows():
+    """Corner entries depend on the leaf boxes alone: the same trees give
+    the same count over 200 rows and over 3200, at most one entry per
+    leaf for the empty set's slot plus three per (leaf, split feature) for
+    the grids and nine per (leaf, feature other than k) of each tree that
+    splits on k for the pairs; so the count per tree stays level as trees
+    are added."""
+    rng = np.random.default_rng(14)
+    big = random_dataset(rng, 3200, 12)
+    small = big.take_rows(np.arange(200))
+    counts, trees = [], ()
+    for n_trees in (10, 20, 40):
+        trees += random_ensemble(rng, big, n_trees - len(trees), 4, feature_pool=range(12)).trees
+        ens = Ensemble(trees=trees, n_features=12)
+        built = [
+            SubSageEngine(annotate_probabilities(ens, d), d, 0, LossKind.SQUARED_ERROR)
+            for d in (small, big)
+        ]
+        assert grid_and_pair_entries(built[0]) == grid_and_pair_entries(built[1])
+        bound = sum(
+            len(tree.value[tree.left < 0])
+            * (1 + 3 * len(tree.feature_set) + 9 * (len(tree.feature_set) - 1) * (0 in tree.feature_set))
+            for tree in trees
+        )
+        counts.append(grid_and_pair_entries(built[1]))
+        assert counts[-1] <= bound
+    per_tree = [c / n for c, n in zip(counts, (10, 20, 40))]
+    assert max(per_tree) <= 1.25 * min(per_tree), counts
+
+
+def test_packed_lattices_are_disjoint_and_at_most_half_padding():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 7, 40):
+        dims = rng.integers(1, 50, size=(2, n)) ** rng.integers(1, 3, size=(2, n)) // 10 + 1
+        origin, stride, blocks, end = _pack(dims, 5)
+        taken = np.zeros(end, int)
+        for i in range(n):
+            rows = origin[i] + stride[i] * np.arange(dims[0, i])
+            taken[(rows[:, None] + np.arange(dims[1, i])).ravel()] += 1
+            assert stride[i] >= dims[1, i]
+            assert any(lo <= origin[i] and origin[i] + stride[i] * dims[0, i] <= hi for lo, hi, _ in blocks)
+        assert taken.max(initial=0) <= 1 and not taken[:5].any()
+        assert [lo for lo, _, _ in blocks] == [5, *(hi for _, hi, _ in blocks)][: len(blocks)]
+        assert end == (blocks[-1][1] if blocks else 5)
+        assert all(hi - lo == np.prod(shape) for lo, hi, shape in blocks)
+        assert end - 5 <= 2 * int(dims.prod(axis=0).sum())

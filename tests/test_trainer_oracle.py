@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsage.dataset import Dataset, FeatureKind
-from subsage.errors import NumericalError
+from subsage.errors import InputError, NumericalError
 from subsage.estimator import LossKind
 from subsage import trainer
 from subsage.trainer import TrainConfig, _grad_hess, eval_loss, train
@@ -213,12 +214,40 @@ def test_presorted_trainer_writes_oracle_bytes(case):
             with pytest.raises(NumericalError, match="zero hessian"):
                 train(train_data, valid_data, cfg)
             return
+        except (RuntimeWarning, InputError) as exc:
+            # Or the hessian sum is tiny but not zero: the oracle's split
+            # gain overflows, or its leaf step does and ``Tree`` refuses it.
+            assert isinstance(exc, RuntimeWarning) or "is not finite" in str(exc)
+            with pytest.raises(NumericalError, match="overflows; use reg_lambda > 0"):
+                train(train_data, valid_data, cfg)
+            return
         assert model_bytes(train(train_data, valid_data, cfg)) == expected
     assert len(seen_trainer) == len(seen_oracle)
     for (xs, g_prefix, h_prefix), (x, g, h) in zip(seen_trainer, seen_oracle):
         np.testing.assert_array_equal(xs, x)
         np.testing.assert_array_equal(g_prefix, np.cumsum(g))
         np.testing.assert_array_equal(h_prefix, np.cumsum(h))
+
+
+@pytest.mark.parametrize("x, seed, message", [
+    ((0.0, 2.0, 2.0, 1.0), 8, "node 1: split gain overflows"),
+    ((0.0, 2.0, 2.0, 2.0), 18, "leaf 1 step overflows"),
+])
+def test_saturated_logistic_without_lambda_is_numerical_error(x, seed, message):
+    """Four rows, two drawn per round, logistic loss, reg_lambda 0,
+    learning rate 1, depth 1: in round 5 a saturated sigmoid leaves a
+    hessian sum that is tiny but not zero, so the oracle's split gain or
+    leaf step overflows, and the trainer names the node and the remedy."""
+    data = Dataset(("x0",), np.array([x]), (FeatureKind.CONTINUOUS,), np.array([0.0, 1.0, 0.0, 0.0]))
+    cfg = TrainConfig(
+        learning_rate=1.0, max_depth=1, subsample=0.7, reg_lambda=0.0, max_rounds=5,
+        loss=LossKind.BINARY_CROSS_ENTROPY, seed=seed,
+    )
+    train(data, data, replace(cfg, max_rounds=4))
+    with pytest.raises((RuntimeWarning, InputError)):
+        oracle_train(data, data, cfg)
+    with pytest.raises(NumericalError, match=f"^{message}; use reg_lambda > 0$"):
+        train(data, data, cfg)
 
 
 # sha256 of the model file of one small fit per loss. How the node search
@@ -347,6 +376,11 @@ def test_mixed_distinct_and_tied_columns_write_oracle_bytes(loss, reg_lambda, se
         expected = model_bytes(oracle_train(train_data, valid_data, cfg))
     except ZeroDivisionError:
         with pytest.raises(NumericalError, match="zero hessian"):
+            train(train_data, valid_data, cfg)
+        return
+    except (RuntimeWarning, InputError) as exc:
+        assert isinstance(exc, RuntimeWarning) or "is not finite" in str(exc)
+        with pytest.raises(NumericalError, match="overflows; use reg_lambda > 0"):
             train(train_data, valid_data, cfg)
         return
     with pytest.MonkeyPatch.context() as mp:

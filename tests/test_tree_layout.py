@@ -75,6 +75,29 @@ def test_model_file_round_trip_is_byte_stable(case, annotate):
         assert first.read_bytes() == second.read_bytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(cases(max_depth=6))
+def test_leaf_steps_are_each_leaf_ancestors_root_first(case):
+    ens, _, _, _ = case
+    for tree in ens.trees:
+        leaves, n_steps, steps, went_left = tree.leaf_steps
+        assert leaves.tolist() == np.flatnonzero(tree.left < 0).tolist()
+        parent = {
+            int(child): pos
+            for pos in np.flatnonzero(tree.left >= 0).tolist()
+            for child in (tree.left[pos], tree.right[pos])
+        }
+        at = 0
+        for node, n in zip(leaves.tolist(), n_steps.tolist()):
+            path = []
+            while node in parent:
+                path.append((parent[node], bool(tree.left[parent[node]] == node)))
+                node = parent[node]
+            assert list(zip(steps[at : at + n].tolist(), went_left[at : at + n].tolist())) == path[::-1]
+            at += n
+        assert at == len(steps) == len(went_left)
+
+
 def chain_tree(depth: int, n_split_features: int) -> Tree:
     """Branch i splits feature i % n_split_features at i: below it a leaf
     of value i, otherwise the next branch; the last right child is -1."""

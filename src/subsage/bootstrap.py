@@ -81,6 +81,8 @@ def percentile_interval(draws, alpha: float) -> tuple[float, float]:
     draws = np.asarray(draws, dtype=np.float64)
     if draws.size == 0:
         raise InputError("percentile_interval: no draws")
+    if not np.isfinite(draws).all():
+        raise InputError("percentile_interval: draws must be finite")
     if not 0.0 < alpha < 0.5:
         raise InputError("alpha must lie in (0, 0.5)")
     s = np.sort(draws)
@@ -105,6 +107,8 @@ def _bias_correction(draws: np.ndarray, point: float) -> float:
 
 def _acceleration_from_jackknife(jackknife_values) -> float:
     jv = np.asarray(jackknife_values, dtype=np.float64)
+    if jv.size == 0 or not np.isfinite(jv).all():
+        raise InputError("bca_interval: jackknife values must be non-empty and finite")
     centered = jv.mean() - jv
     denom = float(centered @ centered) ** 1.5
     if denom == 0.0:
@@ -130,6 +134,8 @@ def bca_interval(
     draws = np.asarray(draws, dtype=np.float64)
     if draws.size == 0:
         raise InputError("bca_interval: no draws")
+    if not (np.isfinite(draws).all() and np.isfinite(point)):
+        raise InputError("bca_interval: draws and point must be finite")
     if not 0.0 < alpha < 0.5:
         raise InputError("alpha must lie in (0, 0.5)")
     z0 = _bias_correction(draws, point)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InputError
-from .tree_model import Ensemble, predict_margin_batch, trees_containing
+from .tree_model import Ensemble, trees_containing
 
 __all__ = [
     "LossKind",
@@ -96,9 +96,11 @@ def build_subset_family(m: int, k: int) -> SubsetFamily:
 # ---------------------------------------------------------------------------
 
 # Trees that split on k share one rest table while the product of their
-# per-feature cut counts stays at or below this: each shared table saves a
-# gather over every row, while its cells multiply the table's size.
-_REST_CELLS = 256
+# cut counts + 1 over features other than k stays at or below this: each
+# shared table saves a gather over every row, while its cells multiply the
+# table's size. Each such tree splits on k, so this admits every group whose
+# cells counted with k's cuts stayed within 256.
+_REST_CELLS = 128
 
 # Float64 values per block of a draw's subset rows, about 1 MB: a block
 # stays in cache however many features the trees use, while on few data
@@ -166,7 +168,7 @@ class SubSageEngine:
     fall on the same side of each, so they share every conditional
     expectation that tests only those thresholds. Each row keeps a small-int
     cell id in a few spaces: each used feature's threshold grid, one pair
-    space (k, m) per feature m sharing a tree with k, and the spaces of the
+    lattice (k, m) per feature m sharing a tree with k, and the spaces of the
     trees that split on k. A draw turns its branch probabilities into one
     small table per space and gathers the per-subset vectors from them in
     blocks of about ``_BLOCK_FLOATS`` values, so memory is O(rows x spaces)
@@ -241,11 +243,19 @@ class SubSageEngine:
         # step, and per step (leaf after leaf, root first) its index into a
         # draw's (p, 1 - p). A box entry is a leaf's grid cells [lo, hi) on
         # one split feature of its tree, hi = ``none`` if unbounded; a leaf's
-        # entries follow its tree's features in ascending order.
+        # entries follow its tree's features in ascending order. With a rest
+        # subset, also the margin prediction and its part from tau_k trees,
+        # the all-known term of d^rest, which no draw changes.
         none = int(sizes.max()) + 1
         self._node_tid, values, n_steps, pq, at_box, above, left = [], [], [], [], [], [], []
         n_boxes = 0
+        self._pred, self._tau_pred = np.full(self.n, ensemble.base_score), np.zeros(self.n)
         for tree in trees:
+            if s > 1:
+                margin = tree.sweep(data.columns, tree.feature_set)
+                self._pred += margin
+                if k in tree.feature_set:
+                    self._tau_pred += margin
             leaves, n, steps, went_left = tree.leaf_steps
             tids = np.full(len(tree.feature), -1)
             for f in tree.feature_set:
@@ -281,7 +291,8 @@ class SubSageEngine:
             np.tile(np.array(tree.feature_set, np.intp), n) for tree, n in zip(trees, self._n_leaves)
         ])
 
-        # Rest tables share trees of tau_k while their joint cells stay few.
+        # Rest tables share trees of tau_k while their joint cells, which
+        # only the cuts on features other than k split, stay few.
         def n_cells(group):
             _, counts = np.unique(self._thr_feat[self._tids(group)], return_counts=True)
             return np.prod(counts + 1.0)
@@ -316,7 +327,7 @@ class SubSageEngine:
         # prefix sums hold k's d^{} and each singleton m's margin given x_m;
         # the empty set's margin; each pair space's (cuts_k + 1) x (cuts_m + 1)
         # lattice, whose 2-D prefix sums hold d^{m} - d^{} over the tau_k
-        # trees that use m; then the cells of the pair and rest spaces.
+        # trees that use m; then the cells of the rest spaces.
         rows = np.stack((np.ones(s + 1, np.intp), sizes + 1))
         grid0, _, self._lattices, self._grid1 = _pack(rows[:, :1], 0)
         grid1, _, blocks, self._grids_end = _pack(rows[:, 1:], self._grid1)
@@ -341,29 +352,25 @@ class SubSageEngine:
         add(base, key(box_tree), box_leaf, True)
         add(np.full(len(leaf_tree), self._empty_slot), key(leaf_tree), np.arange(len(leaf_tree)), False)
 
-        # Pair spaces: the cut ranks of k and of m in the trees they share; a
-        # lattice position on either axis is the number of cuts below it.
-        cuts, cells = ([], []), []
-        for i, m in enumerate(self._singles[:pairs]):
-            tids = self._tids(with_m[m], k, m)
-            for axis, f in enumerate((k, m)):
-                cuts[axis].append(self._thr_rank[tids[self._thr_feat[tids] == f]])
-            self._ids[s + 1 + i], rep = self._cells(tids)
-            cells.append([np.searchsorted(c[-1], rep[f]) for c, f in zip(cuts, (k, m))])
-        dims = np.array([[len(c) + 1 for c in axis] for axis in cuts], np.intp).reshape(2, pairs)
-        origin, stride, blocks, slot = _pack(dims, self._empty_slot + 1)
-        self._lattices += blocks
-        self._pair_at = np.concatenate([
-            origin[i] + j * stride[i] + l for i, (j, l) in enumerate(cells)
-        ] or [np.zeros(0, np.intp)])
-        self._pairs0 = slot
-        for row, (j, _) in enumerate(cells, s + 1):
-            self._ids[row] += slot
-            slot += len(j)
-        # Corners of each shared tree's leaf boxes: both features known, then
-        # k only, m only, and neither.
+        # Pair lattices: their axes are the cuts of k and of m in the trees
+        # the two share. pos[axis, pair] maps a grid cell (or ``none``) to its
+        # lattice position, the number of cuts below it, for rows and corners.
         pair_of = np.full(ensemble.n_features, -1)
         pair_of[self._singles[:pairs]] = np.arange(pairs)
+        pos = np.zeros((2, pairs, none + 1), np.intp)
+        for t in tau:
+            tids = self._node_tid[t][self._node_tid[t] >= 0]
+            on_k = self._thr_feat[tids] == k
+            i = pair_of[self._thr_feat[tids[~on_k]]]
+            pos[0][np.ix_(i, self._thr_rank[tids[on_k]] + 1)] = 1
+            pos[1, i, self._thr_rank[tids[~on_k]] + 1] = 1
+        pos = pos.cumsum(axis=2)
+        origin, stride, blocks, slot = _pack(pos[:, :, -1] + 1, self._empty_slot + 1)
+        self._lattices += blocks
+        for i, m in enumerate(self._singles[:pairs]):
+            self._ids[s + 1 + i] = origin[i] + pos[0, i, self._iv[k]] * stride[i] + pos[1, i, self._iv[m]]
+        # Corners of each shared tree's leaf boxes: both features known, then
+        # k only, m only, and neither.
         has_k = np.array([k in tree.feature_set for tree in trees])
         at_k = np.array([np.searchsorted(tree.feature_set, k) for tree in trees])
         sel = np.flatnonzero((pair_of[box_feat] >= 0) & has_k[box_tree])
@@ -372,18 +379,8 @@ class SubSageEngine:
         kb = box0[leaf] + at_k[t]
         ok_k, ok_m = lo[kb] < hi[kb], lo[sel] < hi[sel]
         cap_k, cap_m = ok_k & (hi[kb] < none), ok_m & (hi[sel] < none)
-        # Every pair's cuts in one sorted array per axis, pair i's offset by
-        # i * (none + 1), so one searchsorted maps all bounds at once.
-        keys = [
-            np.concatenate([c + j * (none + 1) for j, c in enumerate(axis)] + [np.zeros(0, np.intp)])
-            for axis in cuts
-        ]
-        below = np.cumsum(dims - 1, axis=1) - (dims - 1)
-        k_lo, k_hi, m_lo, m_hi = (
-            np.searchsorted(keys[axis], i * (none + 1) + x) - below[axis, i]
-            for axis, x in ((0, lo[kb]), (0, hi[kb]), (1, lo[sel]), (1, hi[sel]))
-        )
-        k_lo, k_hi = k_lo * stride[i], k_hi * stride[i]
+        k_lo, k_hi = pos[0, i, lo[kb]] * stride[i], pos[0, i, hi[kb]] * stride[i]
+        m_lo, m_hi = pos[1, i, lo[sel]], pos[1, i, hi[sel]]
         base = origin[i]
         both, only_k, only_m = key(t, k, m), key(t, k), key(t, m)
         add(base + k_lo + m_lo, both, leaf, False, ok_k & ok_m)
@@ -396,33 +393,25 @@ class SubSageEngine:
         add(base + m_hi, only_m, leaf, False, cap_m)
         add(base, key(t), leaf, False)
 
-        # Rest tables: d^rest over their tau_k trees, one entry per (cell,
-        # leaf) whose box holds the cell, with every feature of the leaf's
-        # tree known and then with all but k.
+        # Rest tables: minus the margin of their tau_k trees given every
+        # feature but k, one entry per (cell, leaf) whose box holds the cell
+        # on each side that bounds a cell. The mask has a row per leaf, so
+        # each feature updates whole rows; a cell's entries still come in
+        # leaf order.
         for row, group in enumerate(groups, s + 1 + pairs):
             cell, rep = self._cells(self._tids(group))
             np.add(cell, slot, out=self._ids[row])
-            space = np.array(sorted(rep))
             leaves = _ranges(self._leaf0[group], self._n_leaves[group])
-            n = len(leaves)
-            bounds = np.zeros((2, len(space), 2 * n), np.intp)
-            bounds[1] = none
             box = _ranges(box0[leaves], widths[leaves])
-            col, feat = np.repeat(np.arange(n), widths[leaves]), np.searchsorted(space, box_feat[box])
-            bounds[:, feat, col] = lo[box], hi[box]
-            other = box_feat[box] != k
-            bounds[:, feat[other], n + col[other]] = lo[box[other]], hi[box[other]]
-            ok = np.ones((len(rep[k]), 2 * n), bool)
-            for (low, high), f in zip(bounds.transpose(1, 0, 2), space):
-                x = rep[f][:, None]
-                ok &= (low <= x) & (x < high)
-            cell, c = np.nonzero(ok)
-            t = leaf_tree[leaves]
-            add(slot + cell, np.concatenate((key(t, inv=1), key(t, k, inv=1)))[c], leaves[c % n], c >= n)
-            slot += len(rep[k])
+            col = np.repeat(np.arange(len(leaves)), widths[leaves])
+            ok = np.ones((len(leaves), cell.max() + 1), bool)
+            for f, x in rep.items():
+                at = (box_feat[box] == f) & ((lo[box] > 0) | (hi[box] < none))
+                ok[col[at]] &= (lo[box[at], None] <= x) & (x < hi[box[at], None])
+            c, cell = np.nonzero(ok)
+            add(slot + cell, key(leaf_tree[leaves[c]], k, inv=1), leaves[c], True)
+            slot += ok.shape[1]
         self._n_slots = slot
-        if self._n_rest:
-            self._pred = predict_margin_batch(ensemble, data)
 
         at, keys, leaf, neg = (np.concatenate(a) for a in zip(*entries))
         del entries
@@ -437,12 +426,12 @@ class SubSageEngine:
 
     # -- build helpers -------------------------------------------------------
 
-    def _tids(self, tree_ids, *features) -> np.ndarray:
-        """Distinct threshold ids of the given trees' splits, only those on
-        ``features`` if any are given."""
+    def _tids(self, tree_ids) -> np.ndarray:
+        """Distinct threshold ids of the given trees' splits on features
+        other than k."""
         tids = np.unique(np.concatenate([self._node_tid[t] for t in tree_ids]))
         tids = tids[tids >= 0]
-        return tids[np.isin(self._thr_feat[tids], features)] if features else tids
+        return tids[self._thr_feat[tids] != self.k]
 
     def _cells(self, tids: np.ndarray):
         """Row cell ids in the space split by threshold ids ``tids``, in
@@ -516,15 +505,10 @@ class SubSageEngine:
             raise InputError("weights must have positive total")
         return w, total
 
-    def probs_for_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Branch probabilities recomputed from weighted column fractions.
-
-        With multiplicity weights this equals annotating on the materialized
-        replicate: both are exact integer counts divided by the total.
-        """
-        return self._probs(*self._weights(weights))
-
     def _probs(self, weights: np.ndarray, total: float) -> np.ndarray:
+        """Branch probabilities recomputed from weighted column fractions.
+        With multiplicity weights this equals annotating on the materialized
+        replicate: both are exact integer counts divided by the total."""
         # Grid spaces own disjoint slots, so each slot's count comes from one
         # row, adding its weights in row order, whichever rows share a call.
         blocks = _blocks(len(self._singles) + 1, self.n)
@@ -550,8 +534,8 @@ class SubSageEngine:
 
     def _table(self, p: np.ndarray) -> np.ndarray:
         """Every table under branch probabilities ``p``: one bincount of the
-        signed coefficients, prefix sums along both axes of every block of
-        grid rows and pair lattices, and each pair cell read from its lattice."""
+        signed coefficients, then prefix sums along both axes of every block
+        of grid rows and pair lattices."""
         coef = self._coefficients(p)
         signed = np.concatenate((coef, -coef))
         table = np.bincount(self._entry_at, signed[self._entry_src], self._n_slots)
@@ -560,7 +544,6 @@ class SubSageEngine:
             lattice.cumsum(axis=2, out=lattice)
             if shape[1] > 1:
                 lattice.cumsum(axis=1, out=lattice)
-        table[self._pairs0 : self._pairs0 + len(self._pair_at)] = table[self._pair_at]
         table[self._empty_slot] += self.ensemble.base_score
         table[self._grid1 : self._grids_end] += table[self._empty_slot]
         return table
@@ -601,8 +584,9 @@ class SubSageEngine:
         delta /= total
         if not self._n_rest:
             return delta
-        # Knowing every feature but k gives the margin prediction - d^rest.
-        # An axis-0 sum adds rows in order, so carrying the running sum into
+        # d^rest is the tau_k trees' prediction plus the rest rows, and the
+        # margin given every feature but k is the prediction - d^rest. An
+        # axis-0 sum adds rows in order, so carrying the running sum into
         # row 0 of each block adds the rest rows as one sum over all would.
         rest = self._ids[s + 1 + pairs :]
         d = np.take(table, rest[0])
@@ -612,6 +596,7 @@ class SubSageEngine:
             part[0] = d
             np.take(table, rest[lo : lo + step], out=part[1:], mode="clip")
             part.sum(axis=0, out=d)
+        d += self._tau_pred
         return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
 
     def _loss_gaps(self, d, f, w):

@@ -149,6 +149,8 @@ def erfc(shap: ShapMatrix) -> np.ndarray:
 def rank_features(kappa: np.ndarray, top: int) -> list[tuple[int, float]]:
     """Feature indices with the largest scores, descending; ties break by
     ascending feature index."""
+    if top < 1:
+        raise InputError(f"top={top} must be at least 1")
     if top > len(kappa):
         raise InputError(f"top={top} exceeds {len(kappa)} features")
     order = sorted(range(len(kappa)), key=lambda k: (-kappa[k], k))

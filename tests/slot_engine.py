@@ -164,17 +164,17 @@ class SlotEngine(SubSageEngine):
                 (t, c, sign) for t in with_m[m] for c, sign in
                 ((both, 1.0), (only_k, -1.0), (only_m, -1.0), (empty, 1.0))
             ]), out=self._ids[row])
-        # Rest tables: d^rest over their tau_k trees.
+        # Rest tables: minus the margin of their tau_k trees given every
+        # feature but k; the draw kernel adds those trees' prediction.
         for row, group in enumerate(groups, s + 1 + self._n_pairs):
             cells, rep = self._cells(self._tids(group))
             np.add(cells, self._space(rep, [
-                (t, c, sign) for t in group for c, sign in (
-                    (frozenset(trees[t].feature_set), 1.0),
-                    (frozenset(trees[t].feature_set) - only_k, -1.0))
+                (t, frozenset(trees[t].feature_set) - only_k, -1.0) for t in group
             ]), out=self._ids[row])
         self._n_rest = len(groups)
         if self._n_rest:
             self._pred = predict_margin_batch(ensemble, data)
+            self._tau_pred = sum(trees[t].sweep(data.columns, trees[t].feature_set) for t in tau)
         self._scalar_of = np.array(self._scalar_of + [-1], dtype=np.intp)
         # Coefficients ordered by their number of unknown steps, most first
         # (ties in class order), so that step j of a draw multiplies a prefix.

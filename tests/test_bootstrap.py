@@ -53,6 +53,11 @@ class TestPercentileInterval:
         with pytest.raises(InputError, match="no draws"):
             percentile_interval([], 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draw_rejected(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            percentile_interval([1.0, bad, 2.0, 3.0], 0.25)
+
 
 class TestBcaInterval:
     def test_zero_accel_symmetric_reduces_to_percentile(self):
@@ -88,6 +93,22 @@ class TestBcaInterval:
         _, _, _, a = bca_interval(draws, point, 0.05, jackknife_values=jv)
         centered = jv.mean() - jv
         assert a == pytest.approx((centered**3).sum() / (6 * (centered @ centered) ** 1.5), abs=1e-15)
+
+    @pytest.mark.parametrize("draws, point", [
+        ([1.0, np.nan, 2.0, 3.0], 2.0),
+        ([1.0, np.inf, 2.0, 3.0], 2.0),
+        ([1.0, 2.0, 3.0], np.nan),
+        ([1.0, 2.0, 3.0], -np.inf),
+    ])
+    def test_non_finite_draw_or_point_rejected(self, draws, point):
+        with pytest.raises(InputError, match="finite"):
+            bca_interval(draws, point, 0.25)
+
+    @pytest.mark.parametrize("jv", [[], [0.1, np.nan, 0.2], [np.inf, 0.1]])
+    def test_empty_or_non_finite_jackknife_rejected(self, jv):
+        draws = np.linspace(-1.0, 1.0, 50)
+        with pytest.raises(InputError, match="jackknife"):
+            bca_interval(draws, 0.0, 0.05, jackknife_values=jv)
 
     def test_all_draws_on_one_side_is_error(self):
         draws = np.linspace(1.0, 2.0, 50)

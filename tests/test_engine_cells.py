@@ -219,7 +219,7 @@ def test_ragged_factors_equal_padded_loop(case, seed):
     for weights in (None, *(rng.integers(0, 3, data.n_rows).astype(float) for _ in range(3))):
         if weights is not None and weights.sum() == 0:
             continue
-        p = engine._p0 if weights is None else engine.probs_for_weights(weights)
+        p = engine._p0 if weights is None else engine._probs(*engine._weights(weights))
         np.testing.assert_array_equal(engine._coefficients(p), padded._coefficients(p))
         assert engine.estimate(weights) == padded.estimate(weights)
 
@@ -318,7 +318,7 @@ class WholeMatrixEngine(SubSageEngine):
         delta = self._loss_gaps(x[s + 1 : 2 * s + 2], x[: s + 1], w) / total
         if not self._n_rest:
             return delta
-        d = x[2 * s + 2 :].sum(axis=0)
+        d = x[2 * s + 2 :].sum(axis=0) + self._tau_pred
         return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
 
 
@@ -374,7 +374,7 @@ def test_blocked_draws_equal_whole_matrix_kernel(s, data):
     for weights in (None, np.ones(n), bootstrap, jackknife):
         if weights is not None:
             np.testing.assert_array_equal(
-                engine.probs_for_weights(weights), oracle.probs_for_weights(weights)
+                engine._probs(*engine._weights(weights)), oracle.probs_for_weights(weights)
             )
         np.testing.assert_array_equal(engine._delta_rows(weights), oracle._delta_rows(weights))
         assert engine.estimate(weights) == oracle.estimate(weights)
@@ -465,13 +465,13 @@ def sorting_engine(ensemble, data, k, loss):
 
 
 def assert_cells_match_sorting(ensemble, data, k, loss, seed):
-    """Cell ids, table entries, pair cell positions and draws of the engine
-    equal those of the sorting ranking bit for bit."""
+    """Cell ids, table entries and draws of the engine equal those of the
+    sorting ranking bit for bit."""
     engine = SubSageEngine(ensemble, data, k, loss)
     oracle = sorting_engine(ensemble, data, k, loss)
     if k not in engine.used_features:
         return
-    for name in ("_ids", "_entry_at", "_entry_src", "_pair_at"):
+    for name in ("_ids", "_entry_at", "_entry_src"):
         np.testing.assert_array_equal(getattr(engine, name), getattr(oracle, name), strict=True)
     n = data.n_rows
     rng = np.random.default_rng(seed)
@@ -491,20 +491,26 @@ def test_dense_cell_ranking_equals_sorting(case, seed):
 
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_code_bound_passing_row_count_mid_space(loss):
-    # Five rows and a depth-3 tree over k = 0 (one cut) and features 1-3
-    # (two cuts each): its rest space's code bound reaches 6 > 5 after
-    # feature 1, so codes are ranked before features 2 and 3 are added.
+    # Five rows and two depth-3 trees rooted at k = 0, one splitting
+    # feature 1 at six cuts, the other features 2 and 3 at two cuts each.
+    # Their rest space leaves k's cut out; its code bound reaches 7 > 5
+    # after feature 1, and again passes 5 after feature 2, so codes are
+    # ranked before features 2 and 3 are added.
     rng = np.random.default_rng(3)
     binary = loss is LossKind.BINARY_CROSS_ENTROPY
     data = random_dataset(rng, 5, 4, binary_response=binary)
     q = lambda f, level: float(np.quantile(data.column(f), level))
-    nodes = [branch(1, 0, q(0, 0.5), 2, 3)]
-    splits = ((2, 1, 0.3), (3, 1, 0.7), (4, 2, 0.3), (5, 2, 0.7), (6, 3, 0.3), (7, 3, 0.7))
-    for nid, f, level in splits:
-        nodes.append(branch(nid, f, q(f, level), 2 * nid, 2 * nid + 1))
-    nodes += [leaf(nid, float(rng.normal())) for nid in range(8, 16)]
+    trees = []
+    for splits in (
+        ((2, 1, 0.25), (3, 1, 0.75), (4, 1, 0.1), (5, 1, 0.4), (6, 1, 0.6), (7, 1, 0.9)),
+        ((2, 2, 0.3), (3, 3, 0.3), (4, 2, 0.7), (5, 3, 0.7), (6, 2, 0.7), (7, 3, 0.7)),
+    ):
+        nodes = [branch(1, 0, q(0, 0.5), 2, 3)]
+        for nid, f, level in splits:
+            nodes.append(branch(nid, f, q(f, level), 2 * nid, 2 * nid + 1))
+        trees.append(Tree(nodes + [leaf(nid, float(rng.normal())) for nid in range(8, 16)]))
     ens = annotate_probabilities(Ensemble(
-        trees=(Tree(nodes),), n_features=4,
+        trees=tuple(trees), n_features=4,
         objective="binary-logistic" if binary else "regression",
     ), data)
     ranks_per_space = []
@@ -529,8 +535,9 @@ def test_code_bound_passing_row_count_mid_space(loss):
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_sixty_three_split_features_in_one_space(loss):
     # A complete depth-6 tree whose 63 branch nodes each split another
-    # feature at its median: the rest space has 2**63 codes, past what a
-    # 64-bit code holds without ranking part of the way.
+    # feature at its median: the rest space, over the 62 features besides
+    # k, has 2**62 codes, and ranking whenever the bound passes the 40 rows
+    # keeps every partial code small.
     rng = np.random.default_rng(63)
     binary = loss is LossKind.BINARY_CROSS_ENTROPY
     data = random_dataset(rng, 40, 63, binary_response=binary)
@@ -546,6 +553,47 @@ def test_sixty_three_split_features_in_one_space(loss):
         objective="binary-logistic" if binary else "regression",
     ), data)
     assert_cells_match_sorting(ens, data, 0, loss, 5)
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_rest_space_of_trees_splitting_only_on_k(loss):
+    """Trees that split on k alone give a rest space of one cell: their
+    margin given every feature but k is the same on every row. With a cap
+    of one cell they form a group of their own, next to depth-2 trees whose
+    leaf boxes are unbounded on one side or on a whole feature; with the
+    engine's cap all share one group. Either way every per-subset delta
+    matches the naive loss difference, and weighted draws the replicates."""
+    rng = np.random.default_rng(15)
+    binary = loss is LossKind.BINARY_CROSS_ENTROPY
+    data = random_dataset(rng, 30, 4, binary_response=binary)
+    q = lambda f, level: float(np.quantile(data.column(f), level))
+    values = lambda: [float(v) for v in rng.normal(size=4)]
+    trees = (
+        make_stump(0, q(0, 0.5), 0.7, -0.4),
+        make_depth2(0, q(0, 0.3), 0, q(0, 0.1), 0, q(0, 0.8), values()),
+        make_depth2(0, q(0, 0.5), 1, q(1, 0.4), 2, q(2, 0.6), values()),
+        make_depth2(1, q(1, 0.5), 0, q(0, 0.2), 2, q(2, 0.3), values()),
+        make_depth2(3, q(3, 0.5), 1, q(1, 0.7), 2, q(2, 0.5), values()),
+    )
+    ens = Ensemble(
+        trees=trees, n_features=4, base_score=0.3,
+        objective="binary-logistic" if binary else "regression",
+    )
+    annotated = annotate_probabilities(ens, data)
+    family = build_subset_family(4, 0)
+    scale = loss_scale(ens, data, loss)
+    for cap, n_rest in ((1, 3), (estimator._REST_CELLS, 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_REST_CELLS", cap)
+            engine = SubSageEngine(annotated, data, 0, loss)
+            assert engine._n_rest == n_rest
+            first = engine._ids[len(engine._singles) + 1 + engine._n_pairs]
+            assert (len(np.unique(first)) == 1) == (cap == 1)
+            est = engine.estimate()
+            for subset in family.subsets:
+                naive = naive_delta(annotated, 0, subset, data, loss)
+                assert_close(est.per_subset_deltas[subset], naive, scale)
+            check_replicates(ens, data, 0, loss, range(1, 4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -573,7 +621,7 @@ def test_corner_tables_match_slot_reference(case, seed):
             continue
         if weights is not None:
             np.testing.assert_array_equal(
-                engine.probs_for_weights(weights), oracle.probs_for_weights(weights)
+                engine._probs(*engine._weights(weights)), oracle._probs(*oracle._weights(weights))
             )
         for a, b in zip(engine._delta_rows(weights), oracle._delta_rows(weights)):
             assert_close(a, b, scale)
@@ -585,8 +633,9 @@ def test_corner_tables_match_slot_reference(case, seed):
 
 def grid_and_pair_entries(engine) -> int:
     """Table entries outside the rest spaces: grid rows, the empty set's
-    slot and the pair lattices."""
-    return int(np.count_nonzero(engine._entry_at < engine._pairs0))
+    slot and the pair lattices, which come before the rest tables."""
+    rest = engine._ids[len(engine._singles) + 1 + engine._n_pairs :]
+    return int(np.count_nonzero(engine._entry_at < (rest.min() if rest.size else engine._n_slots)))
 
 
 def test_grid_and_pair_entries_grow_with_trees_not_rows():

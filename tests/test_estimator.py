@@ -376,7 +376,7 @@ class TestWeightedPathEquivalence:
         engine = SubSageEngine(ens, data, 1, LossKind.SQUARED_ERROR)
         weights = np.ones(30)
         weights[3] = bad
-        for call in (engine.psi_for_weights, engine.estimate, engine.probs_for_weights):
+        for call in (engine.psi_for_weights, engine.estimate):
             with pytest.raises(InputError) as exc:
                 call(weights)
             assert str(exc.value) == "weights must be finite and non-negative"
@@ -390,7 +390,7 @@ class TestWeightedPathEquivalence:
         data = random_dataset(rng, 30, 4)
         ens = annotate_probabilities(random_ensemble(rng, data, 6, 2), data)
         engine = SubSageEngine(ens, data, 1, LossKind.SQUARED_ERROR)
-        for call in (engine.psi_for_weights, engine.estimate, engine.probs_for_weights):
+        for call in (engine.psi_for_weights, engine.estimate):
             with pytest.raises(InputError) as exc:
                 call(weights)
             assert str(exc.value) == message

@@ -292,3 +292,8 @@ class TestRankFeatures:
     def test_top_bounded(self):
         with pytest.raises(InputError, match="exceeds"):
             rank_features(np.ones(3), 4)
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_top_below_one_rejected(self, top):
+        with pytest.raises(InputError, match="at least 1"):
+            rank_features(np.ones(3), top)

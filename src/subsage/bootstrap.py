@@ -16,11 +16,11 @@ integers.
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .dataset import Dataset, ResampleIndex, check_seed
 from .errors import InputError, NumericalError
@@ -89,6 +89,14 @@ def percentile_interval(draws, alpha: float) -> tuple[float, float]:
     return _order_stat(s, alpha), _order_stat(s, 1.0 - alpha)
 
 
+def ndtr(x: float) -> float:
+    """Standard normal cdf; ``ndtri`` below is its quantile function."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+ndtri = statistics.NormalDist().inv_cdf
+
+
 def _bias_correction(draws: np.ndarray, point: float) -> float:
     """z0 from the fraction of draws below the point estimate.
 
@@ -102,7 +110,7 @@ def _bias_correction(draws: np.ndarray, point: float) -> float:
             "degenerate bootstrap distribution: all draws on one side of "
             "the point estimate"
         )
-    return float(ndtri(frac))
+    return ndtri(frac)
 
 
 def _acceleration_from_jackknife(jackknife_values) -> float:
@@ -145,10 +153,10 @@ def bca_interval(
         denom = 1.0 - a * (z0 + z_tail)
         if denom <= 0.0:
             raise NumericalError("BCa quantile adjustment diverged")
-        return float(ndtr(z0 + (z0 + z_tail) / denom))
+        return ndtr(z0 + (z0 + z_tail) / denom)
 
-    alpha1 = adjusted(float(ndtri(alpha)))
-    alpha2 = adjusted(float(ndtri(1.0 - alpha)))
+    alpha1 = adjusted(ndtri(alpha))
+    alpha2 = adjusted(ndtri(1.0 - alpha))
     s = np.sort(draws)
     return _order_stat(s, alpha1), _order_stat(s, alpha2), z0, a
 

@@ -153,5 +153,8 @@ def rank_features(kappa: np.ndarray, top: int) -> list[tuple[int, float]]:
         raise InputError(f"top={top} must be at least 1")
     if top > len(kappa):
         raise InputError(f"top={top} exceeds {len(kappa)} features")
+    bad = np.flatnonzero(~np.isfinite(kappa))
+    if bad.size:
+        raise InputError(f"rank_features: score {bad[0]} is not finite ({kappa[bad[0]]})")
     order = sorted(range(len(kappa)), key=lambda k: (-kappa[k], k))
     return [(k, float(kappa[k])) for k in order[:top]]

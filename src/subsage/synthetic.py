@@ -22,7 +22,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .dataset import Dataset, FeatureKind, check_seed
 from .errors import InputError
@@ -177,7 +176,7 @@ class TrueMoments:
             e_x2=X2_TRIALS * X2_P,
             e_exp_x2=e_exp,
             e_x5=X5_LAMBDA,
-            p_x6_above=float(ndtr(-(X6_CUT - X6_MU) / X6_SIGMA)),
+            p_x6_above=0.5 * math.erfc((X6_CUT - X6_MU) / (X6_SIGMA * math.sqrt(2.0))),
         )
 
 

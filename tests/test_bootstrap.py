@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+import subsage.bootstrap as bootstrap_module
 from subsage.bootstrap import (
     BootstrapConfig,
     bca_interval,
+    ndtr,
+    ndtri,
     paired_bootstrap,
     percentile_interval,
     report_dict,
@@ -120,6 +125,55 @@ class TestBcaInterval:
         lo, hi, z0, a = bca_interval(draws, 1.0, 0.1)
         assert z0 == 0.0
         assert (lo, hi) == (1.0, 1.0)
+
+
+class TestStdlibNormal:
+    """The stdlib normal cdf and quantile against scipy.special."""
+
+    def test_ndtr_matches_scipy(self):
+        x = np.linspace(-8.0, 8.0, 160_001)
+        ours = np.array([ndtr(float(v)) for v in x])
+        np.testing.assert_allclose(ours, special.ndtr(x), rtol=1.3e-14, atol=0.0)
+
+    def test_ndtri_matches_scipy(self):
+        tail = np.geomspace(1e-12, 0.5, 20_001)
+        p = np.concatenate([np.linspace(1e-12, 1.0 - 1e-12, 100_001), tail, 1.0 - tail])
+        p = np.concatenate([p, special.ndtr(np.linspace(-7.0, 7.0, 14_001))])
+        ours = np.array([ndtri(float(v)) for v in p])
+        # 1.04e-15 is the largest relative gap on this grid.
+        np.testing.assert_allclose(ours, special.ndtri(p), rtol=1.1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("accel", np.round(np.linspace(-0.3, 0.3, 13), 3))
+    def test_bca_ranks_match_scipy(self, monkeypatch, accel):
+        """At B=1000 and alpha=0.025, over a grid of z0 and acceleration,
+        both BCa order-statistic ranks equal the ones scipy's ndtr and
+        ndtri give; the adjustment diverges on the same cells."""
+        b, alpha = 1000, 0.025
+        draws = np.arange(1.0, b + 1.0)  # the j-th smallest draw is j
+        monkeypatch.setattr(bootstrap_module, "_acceleration_from_jackknife", lambda jv: jv[0])
+        checked = 0
+        for half_ranks in range(1, 2 * b, 7):
+            # A point at j + 0.5 puts j draws below it, one at j counts half.
+            point = half_ranks / 2.0 + 0.5 if half_ranks % 2 == 0 else (half_ranks + 1) / 2.0
+            frac = half_ranks / (2.0 * b)
+            z0 = special.ndtri(frac)
+            expected = []
+            for z_tail in (special.ndtri(alpha), special.ndtri(1.0 - alpha)):
+                denom = 1.0 - accel * (z0 + z_tail)
+                if denom <= 0.0:
+                    break
+                adj = special.ndtr(z0 + (z0 + z_tail) / denom)
+                expected.append(float(min(max(math.ceil(b * adj - 1e-9), 1), b)))
+            if len(expected) < 2:
+                with pytest.raises(NumericalError, match="diverged"):
+                    bca_interval(draws, point, alpha, jackknife_values=[accel])
+                continue
+            lo, hi, z0_ours, a = bca_interval(draws, point, alpha, jackknife_values=[accel])
+            assert a == accel
+            assert z0_ours == pytest.approx(z0, rel=1e-14, abs=1e-300)
+            assert (lo, hi) == tuple(expected)
+            checked += 1
+        assert checked > 100
 
 
 class TestConfigValidation:

@@ -19,16 +19,47 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def test_cli_import_skips_scipy_stats():
-    """Every CLI start pays the import, and scipy.stats alone takes about
-    0.6 s of it; the normal cdf and quantile come from scipy.special."""
+def _run_python(code, *args):
     src = Path(subsage.__file__).resolve().parents[1]
-    code = "import sys, subsage.cli; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True
     )
-    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy():
+    """Every CLI start pays the import; the normal cdf and quantile come
+    from the stdlib, so no scipy module (and no second BLAS) is loaded."""
+    code = "import sys, subsage.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = _run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """simulate, train, rank and subsage --bca jackknife all exit 0 when
+    scipy cannot be imported at all."""
+    code = (
+        "import sys; sys.modules['scipy'] = None; from subsage.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    data = tmp_path / "synthetic.csv"
+    model = tmp_path / "model.json"
+    sim = _run_python(code, "simulate", "--n", 60, "--seed", 5, "--out-dir", tmp_path)
+    assert sim.returncode == 0, sim.stderr
+    train = _run_python(code, "train", "--train", data, "--valid", data, "--rounds", 5,
+                        "--eta", "0.3", "--seed", 3, "--out", model)
+    assert train.returncode == 0, train.stderr
+    rank = _run_python(code, "rank", "--model", model, "--data", data, "--top", 1)
+    assert rank.returncode == 0, rank.stderr
+    top = rank.stdout.strip().splitlines()[1].split(",")[0]
+    report = tmp_path / "report.json"
+    sg = _run_python(code, "subsage", "--model", model, "--test", data, "--feature", top,
+                     "--bootstrap", 20, "--alpha", "0.1", "--bca", "jackknife", "--seed", 1,
+                     "--out", report)
+    assert sg.returncode == 0, sg.stderr
+    (doc,) = json.loads(report.read_text())
+    assert doc["bca"] is not None and doc["a"] is not None
 
 
 @pytest.fixture

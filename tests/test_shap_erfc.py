@@ -297,3 +297,10 @@ class TestRankFeatures:
     def test_top_below_one_rejected(self, top):
         with pytest.raises(InputError, match="at least 1"):
             rank_features(np.ones(3), top)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        # A NaN key breaks the sort of every score around it (0.2 would
+        # rank above 0.5 here), so non-finite scores are rejected.
+        with pytest.raises(InputError, match=r"score 1 is not finite"):
+            rank_features(np.array([0.2, bad, 0.5, bad]), 4)

@@ -3,20 +3,23 @@
 Implements Newton boosting with exact greedy split search: leaf values are
 -G/(H + lambda), split gains are the usual half-sum of per-child score
 improvements minus the min-gain penalty, and thresholds are midpoints
-between consecutive distinct sorted values. Desk scale only; no histogram
-binning, sparsity handling, or multiclass objectives.
+between consecutive distinct sorted values. Per-value sums of a column
+with ties only rule out columns that cannot win; every split is found by
+the exact scan. Desk scale only; no histogram binning, sparsity handling,
+or multiclass objectives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import Dataset, check_seed
 from .errors import InputError, NumericalError
-from .estimator import LOSS_OBJECTIVE, LossKind
+from .estimator import _BLOCK_FLOATS, LOSS_OBJECTIVE, LossKind
 from .tree_model import Ensemble, Node, Tree, branch, leaf
 
 
@@ -107,15 +110,7 @@ def _best_split(col, order, gs, hs, lam, gamma, distinct, den=None):
             return None
         cut = ok.nonzero()[0] if distinct else cut[ok]
         gl, dl, dr = gl[ok], dl[ok], dr[ok]
-    parent = g_tot**2 / (h_tot + lam)
-    # 0.5 * (gl**2 / dl + gr**2 / dr - parent) - gamma, in place.
-    gr = g_tot - gl
-    gains = np.square(gl)
-    gains /= dl
-    gains += np.divide(np.square(gr, out=gr), dr, out=gr)
-    gains -= parent
-    gains *= 0.5
-    gains -= gamma
+    gains = _gains(g_tot, h_tot, gl, dl, dr, lam, gamma)
     best = int(gains.argmax())
     if gains[best] <= 0.0:
         return None
@@ -127,13 +122,191 @@ def _best_split(col, order, gs, hs, lam, gamma, distinct, den=None):
     return float(gains[best]), t
 
 
+def _gains(g_tot, h_tot, gl, dl, dr, lam, gamma):
+    """Gain 0.5 * (gl**2 / dl + gr**2 / dr - parent) - gamma at each cut,
+    with gr = g_tot - gl, evaluated in place in this operation order."""
+    parent = g_tot**2 / (h_tot + lam)
+    gr = g_tot - gl
+    gains = np.square(gl)
+    gains /= dl
+    gains += np.divide(np.square(gr, out=gr), dr, out=gr)
+    gains -= parent
+    gains *= 0.5
+    gains -= gamma
+    return gains
+
+
+# Unit roundoff of float64, and gamma_k = k*u / (1 - k*u), which bounds the
+# relative error of any float sum of k + 1 terms (Higham 2002, ch. 3-4).
+_U = np.finfo(np.float64).eps / 2
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+# Bound terms at or above this stay a factor 2**27 below float64 overflow;
+# a column with one scans exactly, so an overflow raises as it always has.
+_NEAR_OVERFLOW = 2.0**996
+# Relative slack for the rounding of the gain formula and of the bound's own
+# arithmetic. Each term of the gain passes through at most about ten
+# roundings, each of relative size u, so 64u covers them with room to spare;
+# an absolute 1e-300 covers gradients small enough to round as subnormals.
+_ROUNDING = 64 * _U
+_TINY = 1e-300
+
+
+@np.errstate(all="ignore")
+def _value_sums(codes, g_node, h_node, width):
+    """Per-value gradient sums, hessian sums and row counts of the columns
+    of ``codes`` (node rows x columns), as one (3, columns, width) array,
+    in one ``bincount`` each. ``h_node`` None means unit hessians, whose
+    sums are the counts."""
+    n, b = codes.shape
+    key = np.empty((n, b), dtype=np.intp)
+    np.add(codes, np.arange(0, b * width, width), out=key)
+    key = key.ravel()
+    size = b * width
+    sums = np.empty((3, b, width))
+    sums[2] = np.bincount(key, minlength=size).reshape(b, width)
+    sums[0] = np.bincount(key, np.repeat(g_node, b), size).reshape(b, width)
+    sums[1] = sums[2] if h_node is None else np.bincount(key, np.repeat(h_node, b), size).reshape(b, width)
+    return sums
+
+
+@np.errstate(all="ignore")
+def _node_sums(codes, blocks, width, idx, g, h, unit_h):
+    """Per-value sums of the node rows ``idx``, one array per column block
+    ``(lo, hi)`` of ``codes`` (rows x columns), computed as they are read,
+    and their error scale (t, A, A_h). Summed over a column's values, the
+    gradient sums lie within gamma_t * A of the exact ones and the hessian
+    sums within gamma_t * A_h: here t = len(idx), A = sum|g| and A_h = sum
+    h, or 0 under unit hessians, whose sums are exact counts."""
+    if len(idx) < len(codes):
+        codes = np.take(codes, idx, axis=0)
+    g_node = g[idx]
+    h_node = None if unit_h else h[idx]
+    parts = (_value_sums(codes[:, lo:hi], g_node, h_node, width) for lo, hi in blocks)
+    return parts, (len(idx), float(np.abs(g_node).sum()), 0.0 if unit_h else float(h_node.sum()))
+
+
+@np.errstate(all="ignore")
+def _gain_bounds(sums, scale, n, lam, gamma):
+    """Upper bound on ``_best_split``'s computed gain at each value
+    boundary of each column, from its per-value sums at a node of ``n``
+    rows with error scale (t, A, A_h) as ``_node_sums`` gives; -inf where
+    no cut falls, +inf where no bound is safe.
+
+    At the boundary after value v the exact scan's gl is a sequential prefix
+    sum over the node's rows in sorted order, within gamma_n * A of the
+    exact sum. The cumulative sum GL of the K per-value sums here is within
+    gamma_t * A + gamma_K * (1 + gamma_t) * A <= gamma_{t+K+1} * A of it.
+    So |gl - GL| <= (gamma_n + gamma_{t+K+1}) * A =: eg, and the totals
+    differ by as much, so |gr - (G - GL)| <= 2 eg; the hessian sums likewise
+    within eh, with A_h for A. Then
+
+        gl**2 / dl <= (|GL| + eg)**2 / (HL - eh + lam),
+        gr**2 / dr <= (|G - GL| + 2 eg)**2 / (H - HL - 2 eh + lam),
+        parent     >= max(|G| - eg, 0)**2 / (H + eh + lam),
+
+    and the rounding of the gain formula adds at most ``_ROUNDING`` times
+    the sum of its terms. eg and eh are doubled to cover the rounding of
+    A and of themselves. A non-positive denominator, a non-finite term or
+    one near overflow leaves the boundary unbounded (+inf), so its column
+    is scanned exactly.
+    """
+    t, abs_g, abs_h = scale
+    gl, hl, cl = np.cumsum(sums, axis=2)
+    g_tot, h_tot = gl[:, -1:], hl[:, -1:]
+    err = 2.0 * (_gamma(n) + _gamma(t + sums.shape[2] + 1))
+    eg, eh = err * abs_g, err * abs_h
+    gl_up = np.abs(gl) + eg
+    gr_up = np.abs(g_tot - gl) + 2.0 * eg
+    dl = (hl - eh) + lam
+    dr = ((h_tot - hl) - 2.0 * eh) + lam
+    left = np.square(gl_up) / dl
+    right = np.square(gr_up) / dr
+    g_lo = np.maximum(np.abs(g_tot) - eg, 0.0)
+    g_hi = np.abs(g_tot) + eg
+    p_lo = np.square(g_lo) / ((h_tot + eh) + lam)
+    p_hi = np.square(g_hi) / ((h_tot - eh) + lam)
+    bound = 0.5 * ((left + right) - p_lo) - gamma
+    bound += _ROUNDING * (left + right + p_hi + gamma) + _TINY
+    safe = (dl > 0.0) & (dr > 0.0) & ((h_tot - eh) + lam > 0.0)
+    for term in (np.square(gl_up), np.square(gr_up), left, right, np.square(g_hi), p_hi):
+        safe &= term < _NEAR_OVERFLOW
+    safe &= abs_g < _NEAR_OVERFLOW
+    bound = np.where(safe, bound, np.inf)
+    # A cut needs rows on both sides; padding values past a column's own
+    # count hold no rows and end with cl == n.
+    return np.where((cl > 0) & (cl < n), bound, -np.inf)
+
+
+def _tied_bounds(sums, blocks, idx, lam, gamma):
+    """Per screened column, an upper bound on ``_best_split``'s gain on
+    the node rows ``idx``, from the node's sums."""
+    parts, scale = sums
+    out = np.empty(blocks[-1][1])
+    for (lo, hi), part in zip(blocks, parts):
+        out[lo:hi] = _gain_bounds(part, scale, len(idx), lam, gamma).max(axis=1)
+    return out
+
+
+class _Columns(NamedTuple):
+    """The training columns with what a fit knows of their sort order.
+
+    ``distinct[f]`` says column f has no ties, and ``screened[f]`` that it
+    has ties and few values. ``slot[f]`` is its row in ``presorted`` (the
+    stable argsort of each column not screened) or else its column in
+    ``codes``, which numbers each row of a screened column by the rank of
+    its value among the column's ``n_values`` distinct values. ``codes`` is
+    rows x columns, so a node gathers whole rows.
+    """
+
+    values: np.ndarray
+    distinct: np.ndarray
+    screened: np.ndarray
+    slot: np.ndarray
+    presorted: np.ndarray
+    codes: np.ndarray
+    n_values: np.ndarray
+
+
+def _encode(cols: np.ndarray) -> _Columns:
+    """Sort every column once: code the columns to screen in the smallest
+    unsigned dtype that fits, and keep the sorted rows of the others."""
+    n = cols.shape[1]
+    presorted = np.argsort(cols, axis=1, kind="stable")
+    # Every subset of a column without ties has none either; -0.0 ties 0.0.
+    steps = [x[:-1] < x[1:] for x in map(np.take, cols, presorted)]
+    n_values = np.array([int(s.sum()) + 1 for s in steps])
+    distinct = n_values == n
+    # A node bounds each screened column at every one of its values, so a
+    # column with many values costs more to bound than to scan. Timed fits
+    # of 40 such columns (BENCH_18.json) put the crossover at about 8 sqrt(n)
+    # values for n = 1000 and 12-16 sqrt(n) for n = 4000 to 32000, so a
+    # column with more than 8 sqrt(n) keeps its presorted rows and the
+    # exact scan.
+    screened = ~distinct & (n_values <= 8.0 * math.sqrt(n))
+    coded = np.flatnonzero(screened)
+    dtype = np.min_scalar_type(int(n_values[coded].max()) - 1) if len(coded) else np.uint8
+    codes = np.empty((n, len(coded)), dtype)
+    for t, j in enumerate(coded):
+        codes[presorted[j, 0], t] = 0
+        codes[presorted[j, 1:], t] = np.cumsum(steps[j], dtype=dtype)
+    slot = np.empty(len(cols), dtype=np.intp)
+    slot[~screened] = np.arange(len(cols) - len(coded))
+    slot[coded] = np.arange(len(coded))
+    if len(coded):
+        presorted = presorted[~screened]
+    return _Columns(cols, distinct, screened, slot, presorted, codes, n_values[coded])
+
+
 # Under logistic loss with reg_lambda 0 a saturated sigmoid leaves hessian
 # sums so small that a split gain overflows; one errstate per tree raises it.
 @np.errstate(over="raise", invalid="raise")
 def _grow_tree(
-    columns: np.ndarray,
-    presorted: np.ndarray,
-    distinct: np.ndarray,
+    enc: _Columns,
     rows: np.ndarray,
     features: np.ndarray,
     g: np.ndarray,
@@ -142,11 +315,16 @@ def _grow_tree(
 ) -> Tree:
     """Grow one tree on the ascending ``rows`` over ``features``.
 
-    ``presorted[f]`` is the stable argsort of ``columns[f]``, and
-    ``distinct[f]`` says it has no ties. A node that searches keeps, of each
-    of its parent's sorted lists, the rows inside it, so it scans them in
-    the order a stable argsort would give.
+    A node scans every drawn column that is not screened exactly. Of each
+    of its parent's sorted lists it keeps the rows inside it, so it scans
+    them in the order a stable argsort would give. It then bounds each
+    drawn screened column from per-value sums and scans exactly, in bound
+    order, every one whose bound is not below the best gain found so far;
+    such a scan stably sorts the column's codes over the node's ascending
+    rows, which is the same order. Any column it skips gains less than the
+    split taken.
     """
+    columns = enc.values
     nodes: list[Node] = []
     inside = np.zeros(columns.shape[1], dtype=bool)
     inside[rows] = True
@@ -154,10 +332,17 @@ def _grow_tree(
     # prefix is 1..n, exact in float64, and its per-cut Newton denominators
     # are shared by the whole node.
     unit_h = bool((h == 1.0).all())
+    listed = features[~enc.screened[features]]
+    screened = features[enc.screened[features]]
+    lists = enc.presorted if len(listed) == len(enc.presorted) else enc.presorted[enc.slot[listed]]
+    codes = enc.codes if len(screened) == enc.codes.shape[1] else enc.codes[:, enc.slot[screened]]
+    if len(screened):
+        width = int(enc.n_values[enc.slot[screened]].max())
+        per = max(1, _BLOCK_FLOATS // max(len(rows), width))
+        blocks = [(lo, min(lo + per, len(screened))) for lo in range(0, len(screened), per)]
     # Nodes to grow: (id, rows, parent's sorted lists as one features x rows
     # array, rows-inside mask, depth). Lists are never written in place, so
-    # the root reads ``presorted`` itself when every feature is drawn.
-    lists = presorted if len(features) == len(presorted) else presorted[features]
+    # the root reads ``presorted`` itself when every such feature is drawn.
     stack = [(1, rows, lists, inside, 0)]
     while stack:
         node_id, idx, lists, inside, depth = stack.pop()
@@ -166,20 +351,37 @@ def _grow_tree(
                 # Each parent list holds every row of the node once, so each
                 # keeps exactly len(idx) entries and one compress filters all.
                 lists = np.compress(np.take(inside, lists).ravel(), lists)
-                lists = lists.reshape(len(features), len(idx))
+                lists = lists.reshape(len(listed), len(idx))
             lam, den = cfg.reg_lambda, None
             if unit_h:
                 hs = np.arange(1.0, len(idx) + 1.0)
                 den = (hs[:-1] + lam, (hs[-1] - hs[:-1]) + lam)
             best = None
+
+            def scan(f, order, distinct):
+                # Highest gain wins, then the earliest feature, as a scan
+                # of every feature in order would choose.
+                nonlocal best
+                found = _best_split(
+                    columns[f], order, g[order].cumsum(), hs if unit_h else h[order].cumsum(),
+                    lam, cfg.min_gain, distinct, den,
+                )
+                if found is not None and (
+                    best is None or found[0] > best[0] or (found[0] == best[0] and f < best[1])
+                ):
+                    best = (found[0], int(f), found[1])
+
             try:
-                for f, order in zip(features, lists):
-                    found = _best_split(
-                        columns[f], order, g[order].cumsum(), hs if unit_h else h[order].cumsum(),
-                        lam, cfg.min_gain, distinct[f], den,
-                    )
-                    if found is not None and (best is None or found[0] > best[0]):
-                        best = (found[0], int(f), found[1])
+                for f, order in zip(listed, lists):
+                    scan(f, order, enc.distinct[f])
+                if len(screened):
+                    sums = _node_sums(codes, blocks, width, idx, g, h, unit_h)
+                    bounds = _tied_bounds(sums, blocks, idx, lam, cfg.min_gain)
+                    for j in np.argsort(-bounds, kind="stable"):
+                        # Every later bound is lower still; a gain must be > 0.
+                        if bounds[j] < (0.0 if best is None else best[0]):
+                            break
+                        scan(screened[j], idx[np.argsort(codes[idx, j], kind="stable")], False)
             except FloatingPointError:
                 raise NumericalError(
                     f"node {node_id}: split gain overflows; use reg_lambda > 0"
@@ -188,9 +390,9 @@ def _grow_tree(
                 _, f, t = best
                 nodes.append(branch(node_id, f, t, 2 * node_id, 2 * node_id + 1))
                 go_left = columns[f] < t
-                keep = go_left[idx]
-                stack.append((2 * node_id + 1, idx[~keep], lists, ~go_left, depth + 1))
-                stack.append((2 * node_id, idx[keep], lists, go_left, depth + 1))
+                left = go_left[idx]
+                stack.append((2 * node_id + 1, idx[~left], lists, ~go_left, depth + 1))
+                stack.append((2 * node_id, idx[left], lists, go_left, depth + 1))
                 continue
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
@@ -229,9 +431,7 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
     margins = np.full(n, base)
     margins_valid = np.full(valid_data.n_rows, base)
     rng = np.random.default_rng(cfg.seed)
-    presorted = np.argsort(cols, axis=1, kind="stable")
-    # Every subset of a column without ties has none either; -0.0 ties 0.0.
-    distinct = np.array([bool((x[:-1] < x[1:]).all()) for x in map(np.take, cols, presorted)])
+    enc = _encode(cols)
 
     trees: list[Tree] = []
     best_loss = np.inf
@@ -244,7 +444,7 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
         feats = np.arange(m)
         if cfg.colsample < 1.0:
             feats = np.sort(rng.choice(m, size=max(1, int(cfg.colsample * m)), replace=False))
-        tree = _grow_tree(cols, presorted, distinct, rows, feats, g, h, cfg)
+        tree = _grow_tree(enc, rows, feats, g, h, cfg)
         trees.append(tree)
         margins += tree.sweep(cols, tree.feature_set)
         margins_valid += tree.sweep(valid_data.columns, tree.feature_set)

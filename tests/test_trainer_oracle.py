@@ -5,13 +5,15 @@ columns: for each (node, feature) it stably argsorts the node's values and
 scans the prefix sums. ``train`` must write the same model file, byte for
 byte, on small datasets full of ties, constant columns and 0/1/2-valued
 columns, for both losses, both depths, row and column subsampling, and a
-positive minimum gain.
+positive minimum gain. The trainer skips a column with ties when a bound
+from its per-value sums shows it cannot win the node; the tests check
+that bound at every cut and attack it with cancelling gradients and
+exactly tied gains.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -183,50 +185,84 @@ def training_cases(draw):
     return train_data, valid_data, cfg
 
 
+def oracle_bytes(train_data, valid_data, cfg):
+    """The oracle's model bytes, or None once ``train`` is shown to raise
+    the NumericalError that matches the oracle's failure."""
+    try:
+        return model_bytes(oracle_train(train_data, valid_data, cfg))
+    except ZeroDivisionError:
+        # A saturated logistic leaf with reg_lambda 0: the oracle divides
+        # by a zero hessian, the trainer reports it.
+        with pytest.raises(NumericalError, match="zero hessian"):
+            train(train_data, valid_data, cfg)
+    except (RuntimeWarning, InputError) as exc:
+        # Or the hessian sum is tiny but not zero: the oracle's split
+        # gain overflows, or its leaf step does and ``Tree`` refuses it.
+        assert isinstance(exc, RuntimeWarning) or "is not finite" in str(exc)
+        with pytest.raises(NumericalError, match="overflows; use reg_lambda > 0"):
+            train(train_data, valid_data, cfg)
+    return None
+
+
 @settings(max_examples=150, deadline=None)
 @given(training_cases())
 def test_presorted_trainer_writes_oracle_bytes(case):
-    """Same model bytes, and every split search scans the same sorted
-    values and the prefix sums of the same sorted gradients and hessians:
-    the second check catches a wrong order among tied values, which rarely
-    changes the model."""
+    """Same model bytes. Every split search the trainer makes scans the
+    same sorted values, and the prefix sums of the same sorted gradients
+    and hessians, as the oracle's search of that node and feature: this
+    catches a wrong order among tied values, which rarely changes the
+    model. A node may skip a column with ties, but only one whose oracle
+    gain is below the split the node takes, or that has no split."""
     train_data, valid_data, cfg = case
-    seen_oracle, seen_trainer = [], []
-    oracle_split, trainer_split = oracle_best_split, trainer._best_split
+    expected = oracle_bytes(train_data, valid_data, cfg)
+    if expected is None:
+        return
+    cols = train_data.columns
+    rounds = []
+    grow, split, bound = trainer._grow_tree, trainer._best_split, trainer._tied_bounds
 
-    def record_oracle(x, g, h, *args):
-        order = np.argsort(x, kind="stable")
-        seen_oracle.append((x[order], g[order], h[order]))
-        return oracle_split(x, g, h, *args)
+    def record_round(enc, rows, features, g, h, cfg):
+        rounds.append((features, g, h, {}))
+        return grow(enc, rows, features, g, h, cfg)
 
-    def record_trainer(col, order, g_prefix, h_prefix, *args):
-        seen_trainer.append((col[order], g_prefix.copy(), h_prefix.copy()))
-        return trainer_split(col, order, g_prefix, h_prefix, *args)
+    def node(idx):
+        return rounds[-1][3].setdefault(idx.tobytes(), (idx, {}))[1]
+
+    def record_bound(sums, blocks, idx, *args):
+        node(idx)
+        return bound(sums, blocks, idx, *args)
+
+    # The trainer scans row views of the training columns; a scan of any
+    # other array has no feature index and fails here.
+    feature_at = {cols[j].ctypes.data: j for j in range(len(cols))}
+
+    def record_scan(col, order, g_prefix, h_prefix, *args):
+        found = split(col, order, g_prefix, h_prefix, *args)
+        assert col.ctypes.data in feature_at, "scanned an array that is not a training column"
+        f = feature_at[col.ctypes.data]
+        node(np.sort(order))[f] = (col[order], g_prefix.copy(), h_prefix.copy(), found)
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys.modules[__name__], "oracle_best_split", record_oracle)
-        mp.setattr(trainer, "_best_split", record_trainer)
-        try:
-            expected = model_bytes(oracle_train(train_data, valid_data, cfg))
-        except ZeroDivisionError:
-            # A saturated logistic leaf with reg_lambda 0: the oracle divides
-            # by a zero hessian, the trainer reports it.
-            with pytest.raises(NumericalError, match="zero hessian"):
-                train(train_data, valid_data, cfg)
-            return
-        except (RuntimeWarning, InputError) as exc:
-            # Or the hessian sum is tiny but not zero: the oracle's split
-            # gain overflows, or its leaf step does and ``Tree`` refuses it.
-            assert isinstance(exc, RuntimeWarning) or "is not finite" in str(exc)
-            with pytest.raises(NumericalError, match="overflows; use reg_lambda > 0"):
-                train(train_data, valid_data, cfg)
-            return
+        mp.setattr(trainer, "_grow_tree", record_round)
+        mp.setattr(trainer, "_best_split", record_scan)
+        mp.setattr(trainer, "_tied_bounds", record_bound)
         assert model_bytes(train(train_data, valid_data, cfg)) == expected
-    assert len(seen_trainer) == len(seen_oracle)
-    for (xs, g_prefix, h_prefix), (x, g, h) in zip(seen_trainer, seen_oracle):
-        np.testing.assert_array_equal(xs, x)
-        np.testing.assert_array_equal(g_prefix, np.cumsum(g))
-        np.testing.assert_array_equal(h_prefix, np.cumsum(h))
+    for features, g, h, nodes in rounds:
+        for idx, scans in nodes.values():
+            chosen = max((s[3][0] for s in scans.values() if s[3] is not None), default=None)
+            for f in features:
+                x = cols[f][idx]
+                if f not in scans:
+                    skipped = oracle_best_split(x, g[idx], h[idx], cfg.reg_lambda, cfg.min_gain)
+                    assert skipped is None or (chosen is not None and skipped[0] < chosen)
+                    continue
+                xs, g_prefix, h_prefix, _ = scans.pop(f)
+                order = np.argsort(x, kind="stable")
+                np.testing.assert_array_equal(xs, x[order])
+                np.testing.assert_array_equal(g_prefix, np.cumsum(g[idx][order]))
+                np.testing.assert_array_equal(h_prefix, np.cumsum(h[idx][order]))
+            assert not scans, "scanned a feature the round did not draw"
 
 
 @pytest.mark.parametrize("x, seed, message", [
@@ -275,6 +311,166 @@ def test_small_fit_model_bytes_pinned(loss):
     )
     digest = hashlib.sha256(model_bytes(train(train_data, valid_data, cfg))).hexdigest()
     assert digest == GOLDEN_MODEL_SHA256[loss]
+
+
+# sha256 of the model file of a genotype-shaped fit with p >> n: 2000
+# columns of 0/1/2 on 150 rows, so every column has ties and every node
+# screens them all. Like the pins above, these follow numpy's generators.
+GOLDEN_SNP_MODEL_SHA256 = {
+    LossKind.SQUARED_ERROR: "fa0d739ec08877e24ecc714f5f05e949e0289890e0933fb5eccdf6f1e051f4bc",
+    LossKind.BINARY_CROSS_ENTROPY: "d86163bfcba53f39058090337c67b090b16c4b1aadacbc327f33cf8c0db19ae9",
+}
+
+
+def snp_dataset(rng, p, n, loss):
+    cols = rng.integers(0, 3, size=(p, n)).astype(float)
+    signal = cols[3] - cols[17] + 0.5 * cols[101] * cols[1500]
+    if loss is LossKind.BINARY_CROSS_ENTROPY:
+        y = (signal + rng.normal(size=n) > 0.5).astype(float)
+        y[:2] = (0.0, 1.0)
+    else:
+        y = np.round(signal + rng.normal(size=n), 1)
+    names = tuple(f"x{j}" for j in range(p))
+    return Dataset(names, cols, (FeatureKind.CONTINUOUS,) * p, y)
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_snp_fit_model_bytes_pinned(loss):
+    rng = np.random.default_rng(2000)
+    train_data = snp_dataset(rng, 2000, 150, loss)
+    valid_data = snp_dataset(rng, 2000, 60, loss)
+    cfg = TrainConfig(
+        learning_rate=0.3,
+        max_depth=2,
+        subsample=0.8,
+        colsample=0.5,
+        max_rounds=8,
+        loss=loss,
+        seed=5,
+    )
+    digest = hashlib.sha256(model_bytes(train(train_data, valid_data, cfg))).hexdigest()
+    assert digest == GOLDEN_SNP_MODEL_SHA256[loss]
+
+
+def attack_gradients(rng, n):
+    """Gradients of magnitudes 1e-8 to 1e8, half of them the negatives of
+    the other half, so that |sum g| is far below sum |g| on most subsets."""
+    a = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-8, 8, size=n)
+    a[n // 2 : 2 * (n // 2)] = -a[: n // 2] * (1.0 + 1e-9 * rng.normal(size=n // 2))
+    return rng.permutation(a)
+
+
+@st.composite
+def tied_scans(draw):
+    """A node's rows of one column with ties, split in two, with cancelling
+    gradients and unit, logistic-like or partly zero hessians."""
+    n = draw(st.integers(4, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, max(2, n // 2)))
+    x = np.sort(rng.normal(size=k))[rng.integers(0, k, size=n)]
+    if np.unique(x).size == n:
+        x[1] = x[0]
+    g = attack_gradients(rng, n) if draw(st.booleans()) else rng.normal(size=n)
+    hess = draw(st.sampled_from(["unit", "logistic", "zeros"]))
+    h = np.ones(n) if hess == "unit" else rng.uniform(1e-8, 0.25, size=n)
+    if hess == "zeros":
+        h[rng.random(n) < 0.3] = 0.0
+    idx = np.flatnonzero(rng.random(n) < draw(st.sampled_from([1.0, 0.6])))
+    left = rng.random(len(idx)) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return x, g, h, idx, left
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_scans(), st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 0.01, 3.0]))
+def test_tied_bound_covers_every_cut(scan, lam, gamma):
+    """At every cut of a column with ties, the bound at that value is at
+    least the gain ``_best_split`` computes there, and the column's bound
+    is at least the gain it returns, on a node and on each of its children."""
+    x, g, h, idx, left = scan
+    enc = trainer._encode(x[None])
+    codes, width, blocks = enc.codes, int(enc.n_values[0]), [(0, 1)]
+    unit_h = bool((h == 1.0).all())
+    for rows in (idx, idx[left], idx[~left]):
+        if len(rows) < 2:
+            continue
+        parts, scale = trainer._node_sums(codes, blocks, width, rows, g, h, unit_h)
+        sums = (list(parts), scale)
+        order = rows[np.argsort(x[rows], kind="stable")]
+        gs, hs = np.cumsum(g[order]), np.cumsum(h[order])
+        found = trainer._best_split(x, order, gs, hs, lam, gamma, False)
+        column_bound = trainer._tied_bounds(sums, blocks, rows, lam, gamma)[0]
+        assert found is None or column_bound >= found[0]
+        bounds = trainer._gain_bounds(sums[0][0], sums[1], len(rows), lam, gamma)[0]
+        xs = x[order]
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        dl, dr = hs[cut] + lam, (hs[-1] - hs[cut]) + lam
+        ok = (dl > 0.0) & (dr > 0.0)
+        if not ok.any():
+            continue
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            gains = trainer._gains(gs[-1], hs[-1], gs[cut[ok]], dl[ok], dr[ok], lam, gamma)
+        at = bounds[codes[order[cut[ok]], 0]]
+        finite = np.isfinite(gains)
+        assert (at[finite] >= gains[finite]).all()
+        assert not np.isfinite(at[~finite]).any()
+
+
+@st.composite
+def bound_attack_cases(draw):
+    """Training sets made to break a loose bound or a wrong tie rule: a
+    column without ties, a binary twin of it that cuts the rows exactly
+    where it can (with small integer responses on a power-of-two row count
+    the first round's sums are exact, so the two gains tie and the earlier
+    column must win), a 0/1/2 column and its duplicate, a many-valued
+    column, and under squared loss responses of magnitudes 1e-8 to 1e8
+    that cancel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loss = draw(st.sampled_from(list(LossKind)))
+    exact = draw(st.booleans())
+    layout = draw(st.permutations(range(6)))
+
+    def data(n):
+        free = rng.permutation(n).astype(float)
+        twin = (free >= rng.integers(1, n)).astype(float)
+        snp = rng.integers(0, 3, size=n).astype(float)
+        many = rng.integers(0, max(2, n // 3), size=n).astype(float)
+        cols = np.array([free, twin, snp, snp, many, -twin])[list(layout)]
+        if loss is LossKind.BINARY_CROSS_ENTROPY:
+            y = rng.integers(0, 2, size=n).astype(float)
+            y[:2] = (0.0, 1.0)
+        elif exact:
+            y = rng.integers(0, 4, size=n) + 2.0 * twin
+        else:
+            y = attack_gradients(rng, n) + 1e8 * twin
+        names = tuple(f"x{j}" for j in range(len(cols)))
+        return Dataset(names, cols, (FeatureKind.CONTINUOUS,) * len(cols), y)
+
+    train_data = data(draw(st.sampled_from([16, 32, 64])))
+    valid_data = data(16)
+    cfg = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.5, 1.0])),
+        max_depth=draw(st.sampled_from([1, 2])),
+        subsample=draw(st.sampled_from([1.0, 0.5])),
+        colsample=draw(st.sampled_from([1.0, 0.7])),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+        min_gain=draw(st.sampled_from([0.0, 0.01, 0.5])),
+        max_rounds=draw(st.integers(1, 4)),
+        loss=loss,
+        seed=draw(st.integers(0, 1000)),
+    )
+    return train_data, valid_data, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound_attack_cases())
+def test_bound_attacks_write_oracle_bytes(case):
+    """Duplicated tied columns, a tied twin whose gain ties a column
+    without ties exactly, and cancelling gradients: same model bytes as the
+    oracle, which scans every column."""
+    train_data, valid_data, cfg = case
+    expected = oracle_bytes(train_data, valid_data, cfg)
+    if expected is not None:
+        assert model_bytes(train(train_data, valid_data, cfg)) == expected
 
 
 def bits(found):
@@ -372,18 +568,52 @@ def test_mixed_distinct_and_tied_columns_write_oracle_bytes(loss, reg_lambda, se
         flags.append(([np.array_equal(c, col) for c in train_data.columns].index(True), distinct))
         return trainer_split(col, order, gs, hs, lam, gamma, distinct, *args)
 
-    try:
-        expected = model_bytes(oracle_train(train_data, valid_data, cfg))
-    except ZeroDivisionError:
-        with pytest.raises(NumericalError, match="zero hessian"):
-            train(train_data, valid_data, cfg)
-        return
-    except (RuntimeWarning, InputError) as exc:
-        assert isinstance(exc, RuntimeWarning) or "is not finite" in str(exc)
-        with pytest.raises(NumericalError, match="overflows; use reg_lambda > 0"):
-            train(train_data, valid_data, cfg)
+    expected = oracle_bytes(train_data, valid_data, cfg)
+    if expected is None:
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "_best_split", record)
         assert model_bytes(train(train_data, valid_data, cfg)) == expected
     assert flags and all(distinct == no_ties[j] for j, distinct in flags)
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_many_valued_tied_column_keeps_exact_scan(loss):
+    """A column with ties but more than 8 sqrt(n) values is not
+    screened: every node that searches scans it exactly from its presorted
+    rows, as a column with ties, and the model bytes are the oracle's."""
+    rng = np.random.default_rng(5)
+
+    def data(n):
+        one_tie = rng.normal(size=n)
+        one_tie[1] = one_tie[0]
+        cols = np.array([one_tie, rng.integers(0, 3, size=n).astype(float), rng.normal(size=n)])
+        if loss is LossKind.BINARY_CROSS_ENTROPY:
+            y = (cols[0] + cols[1] + rng.normal(size=n) > 1.0).astype(float)
+        else:
+            y = np.round(cols[0] + cols[1] + rng.normal(size=n), 1)
+        return Dataset(("x0", "x1", "x2"), cols, (FeatureKind.CONTINUOUS,) * 3, y)
+
+    train_data, valid_data = data(600), data(100)
+    enc = trainer._encode(train_data.columns)
+    assert enc.distinct.tolist() == [False, False, True]
+    assert enc.screened.tolist() == [False, True, False]
+    cfg = TrainConfig(learning_rate=0.3, max_depth=2, subsample=0.8, max_rounds=8, loss=loss, seed=3)
+    expected = oracle_bytes(train_data, valid_data, cfg)
+    scans, searches = [], []
+    split, bound = trainer._best_split, trainer._tied_bounds
+
+    def record_scan(col, order, gs, hs, lam, gamma, distinct, *args):
+        if col.ctypes.data == train_data.columns.ctypes.data:
+            scans.append(distinct)
+        return split(col, order, gs, hs, lam, gamma, distinct, *args)
+
+    def record_bound(*args):
+        searches.append(1)
+        return bound(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "_best_split", record_scan)
+        mp.setattr(trainer, "_tied_bounds", record_bound)
+        assert model_bytes(train(train_data, valid_data, cfg)) == expected
+    assert searches and len(scans) == len(searches) and not any(scans)

@@ -1,6 +1,6 @@
 """Sub-SAGE feature importance with bootstrap confidence intervals for
-tree-ensemble models, exact interventional SHAP/ERFC ranking, a synthetic
-benchmark with analytic oracles, and a minimal boosted-tree trainer."""
+tree-ensemble models, exact interventional SHAP/ERFC ranking, a seeded
+synthetic benchmark, and a minimal boosted-tree trainer."""
 
 from .bootstrap import (
     BootstrapConfig,
@@ -28,17 +28,9 @@ from .estimator import (
     SubSageEstimate,
     build_subset_family,
     subsage_estimate,
-    subsage_stumps,
 )
 from .shap_erfc import ShapMatrix, erfc, rank_features, shap_exact
-from .synthetic import (
-    SyntheticConfig,
-    TrueMoments,
-    generate_synthetic,
-    linreg_population_subsage,
-    linreg_sample_subsage,
-    true_shap,
-)
+from .synthetic import SyntheticConfig, generate_synthetic
 from .trainer import TrainConfig, train
 from .tree_model import (
     Ensemble,
@@ -49,7 +41,6 @@ from .tree_model import (
     import_xgb_dump,
     leaf,
     load_model,
-    predict_margin,
     trees_containing,
     write_model,
 )

@@ -228,12 +228,22 @@ def subset_key(subset: frozenset[int], feature_names) -> str:
     return "rest"
 
 
+def check_subset_keys(feature_names, k: int) -> None:
+    """Reject a feature other than ``k`` named 'empty' or 'rest': its key
+    would overwrite that subset's delta in the report of feature ``k``."""
+    for j, name in enumerate(feature_names):
+        if j != k and name in ("empty", "rest"):
+            raise InputError(f"feature column {name!r} clashes with the per-subset key "
+                             f"{name!r} in the report of feature {feature_names[k]!r}")
+
+
 def report_dict(
     result: BootstrapResult,
     feature_names,
     include_draws: bool = False,
 ) -> dict:
     """JSON-ready report for one feature."""
+    check_subset_keys(feature_names, result.feature)
     deltas = {
         subset_key(s, feature_names): v
         for s, v in result.per_subset_deltas.items()

@@ -172,9 +172,10 @@ def _cmd_rank(args) -> int:
     data = load_csv(args.data, response=args.response)
     annotated = annotate_probabilities(model, data)
     kappa = erfc(shap_exact(annotated, data))
-    print("feature_name,kappa")
-    for k, score in rank_features(kappa, min(args.top, data.n_cols)):
-        print(f"{data.feature_names[k]},{score!r}")
+    ranked = rank_features(kappa, min(args.top, data.n_cols))
+    out = csv_writer(sys.stdout, [data.feature_names[k] for k, _ in ranked])
+    out.writerow(("feature_name", "kappa"))
+    out.writerows((data.feature_names[k], repr(score)) for k, score in ranked)
     return EXIT_OK
 
 
@@ -192,9 +193,10 @@ def _cmd_subsage(args) -> int:
         n_draws=args.bootstrap, alpha=args.alpha, seed=args.seed, bca=args.bca
     )
     features = list(dict.fromkeys(args.feature))
-    results = [
-        bs.paired_bootstrap(model, test.feature_index(f), test, loss, cfg) for f in features
-    ]
+    ks = [test.feature_index(f) for f in features]
+    for k in ks:
+        bs.check_subset_keys(test.feature_names, k)
+    results = [bs.paired_bootstrap(model, k, test, loss, cfg) for k in ks]
 
     reports = [
         bs.report_dict(r, test.feature_names, include_draws=args.emit_draws)

@@ -37,7 +37,6 @@ __all__ = [
     "SubSageEstimate",
     "build_subset_family",
     "subsage_estimate",
-    "subsage_stumps",
     "SubSageEngine",
 ]
 
@@ -658,40 +657,3 @@ def subsage_estimate(
     was fitted on; the library cannot verify this.
     """
     return SubSageEngine(ensemble, test, k, loss).estimate()
-
-
-def subsage_stumps(ensemble: Ensemble, k: int, test: Dataset) -> SubSageEstimate:
-    """Closed-form sub-SAGE for depth-1 regression ensembles.
-
-    For stumps the loss difference is subset-independent in expectation and
-    reduces to 2*Cov(y, g_k) - Var(g_k), where g_k sums the stumps that
-    split on k. Covariance and variance use 1/(n-1) normalization; g_k is
-    centered at its annotated expectation.
-    """
-    if ensemble.objective != "regression":
-        raise InputError("stump closed form requires the regression objective")
-    if not ensemble.annotated:
-        raise InputError("ensemble is not probability-annotated")
-    if any(tree.depth > 1 for tree in ensemble.trees):
-        raise InputError("stump closed form requires every tree depth <= 1")
-    if test.n_rows < 2:
-        raise InputError("stump closed form needs at least 2 rows")
-    tau, _ = trees_containing(ensemble, k)
-
-    n = test.n_rows
-    g = np.zeros(n)
-    anchor = 0.0
-    for tree in (ensemble.trees[t] for t in tau):
-        g += tree.sweep(test.columns, (k,))
-        anchor += tree.sweep(test.columns, ())
-
-    y = test.response
-    centered_y = y - y.mean()
-    centered_g = g - anchor
-    cov = float(centered_y @ centered_g) / (n - 1)
-    var = float(centered_g @ centered_g) / (n - 1)
-    psi = 2.0 * cov - var
-
-    family = build_subset_family(ensemble.n_features, k)
-    deltas = {subset: psi for subset in family.subsets}
-    return SubSageEstimate(psi_hat=psi, per_subset_deltas=deltas)

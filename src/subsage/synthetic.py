@@ -1,6 +1,5 @@
 """Synthetic benchmark: a fully specified data-generating process with six
-influential features, closed-form single-feature SHAP values for ground
-truth, and the linear-regression closed form used as an estimator oracle.
+influential features.
 
 The response is
 
@@ -149,98 +148,6 @@ def true_response(columns: np.ndarray, cfg: SyntheticConfig) -> np.ndarray:
         + cfg.a5 * np.log1p(x5)
         + cfg.a6 * x5 * (x6 > X6_CUT)
     )
-
-
-@dataclass(frozen=True)
-class TrueMoments:
-    """Exact moments of the generating distributions entering the
-    closed-form SHAP expressions."""
-
-    e_x1: float
-    e_x2: float
-    e_exp_x2: float
-    e_x5: float
-    p_x6_above: float
-
-    @classmethod
-    def exact(cls) -> "TrueMoments":
-        e_exp = sum(
-            math.comb(X2_TRIALS, j)
-            * X2_P**j
-            * (1.0 - X2_P) ** (X2_TRIALS - j)
-            * math.exp(j)
-            for j in range(X2_TRIALS + 1)
-        )
-        return cls(
-            e_x1=X1_TRIALS * X1_P,
-            e_x2=X2_TRIALS * X2_P,
-            e_exp_x2=e_exp,
-            e_x5=X5_LAMBDA,
-            p_x6_above=0.5 * math.erfc((X6_CUT - X6_MU) / (X6_SIGMA * math.sqrt(2.0))),
-        )
-
-
-TRUE_SHAP_FEATURES = (1, 2, 6, 12)
-
-
-def true_shap(
-    x,
-    feature: int,
-    moments: TrueMoments,
-    cfg: SyntheticConfig | None = None,
-) -> float:
-    """Exact SHAP value of one feature under the true response surface.
-
-    ``feature`` uses the 1-based x1..x100 naming; ``x`` is a full feature
-    row in storage order. Supported features: 1, 2, 6 (closed forms) and
-    12 (identically zero; it never enters the response).
-    """
-    if feature not in TRUE_SHAP_FEATURES:
-        raise InputError(
-            f"no closed-form SHAP for feature {feature}; "
-            f"supported: {TRUE_SHAP_FEATURES}"
-        )
-    c = cfg if cfg is not None else SyntheticConfig(n=1, seed=0)
-    x1, x2 = float(x[0]), float(x[1])
-    x5, x6 = float(x[4]), float(x[5])
-    if feature == 12:
-        return 0.0
-    if feature == 1:
-        dev = x1 - moments.e_x1
-        without_2 = c.a1 * dev + c.a21 * moments.e_exp_x2 * dev
-        with_2 = c.a1 * dev + c.a21 * math.exp(x2) * dev
-        return 0.5 * without_2 + 0.5 * with_2
-    if feature == 2:
-        dev = math.exp(x2) - moments.e_exp_x2
-        without_1 = c.a2 * (x2 - moments.e_x2) + c.a21 * moments.e_x1 * dev
-        with_1 = c.a2 * (x2 - moments.e_x2) + c.a21 * x1 * dev
-        return 0.5 * without_1 + 0.5 * with_1
-    dev = float(x6 > X6_CUT) - moments.p_x6_above
-    without_5 = c.a6 * moments.e_x5 * dev
-    with_5 = c.a6 * x5 * dev
-    return 0.5 * without_5 + 0.5 * with_5
-
-
-def linreg_population_subsage(beta_k: float, cov_yk: float, var_k: float) -> float:
-    """Closed-form sub-SAGE of one feature in a fitted linear model with
-    independent features: 2*beta*Cov(Y, X_k) - beta^2*Var(X_k)."""
-    if var_k < 0:
-        raise InputError("variance must be non-negative")
-    return 2.0 * beta_k * cov_yk - beta_k**2 * var_k
-
-
-def linreg_sample_subsage(beta_k: float, test: Dataset, k: int) -> float:
-    """Plug-in version of the linear closed form with 1/(n-1) moments."""
-    n = test.n_rows
-    if n < 2:
-        raise InputError("sample estimate needs at least 2 rows")
-    x = test.column(k)
-    y = test.response
-    xc = x - x.mean()
-    yc = y - y.mean()
-    cov = float(yc @ xc) / (n - 1)
-    var = float(xc @ xc) / (n - 1)
-    return linreg_population_subsage(beta_k, cov, var)
 
 
 def config_sidecar(cfg: SyntheticConfig) -> dict:

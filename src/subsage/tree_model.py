@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable
 
 import numpy as np
 
@@ -185,10 +185,6 @@ class Tree:
             first, cur = first[below], up[below]
         return leaves, n_steps, steps, went_left
 
-    def predict(self, x: Sequence[float]) -> float:
-        out = self.sweep(np.asarray(x, dtype=np.float64)[:, None], self.feature_set)
-        return float(np.ravel(out)[0])
-
     def with_probs(self, probs: dict[int, float]) -> "Tree":
         new_nodes = [
             replace(n, prob_left=probs[n.id]) if not n.is_leaf else n
@@ -243,14 +239,6 @@ class Ensemble:
             raise InputError(
                 f"dataset has {data.n_cols} features, model expects {self.n_features}"
             )
-
-
-def predict_margin(ensemble: Ensemble, x: Sequence[float]) -> float:
-    """Raw additive output for one feature row."""
-    total = ensemble.base_score
-    for tree in ensemble.trees:
-        total += tree.predict(x)
-    return total
 
 
 def predict_margin_batch(ensemble: Ensemble, data: Dataset) -> np.ndarray:

@@ -3,13 +3,17 @@ package's batch evaluators.
 
 At a branch on a known feature the recursion follows the data branch; at a
 branch on an unknown feature it mixes both children by the node's annotated
-probabilities; at a leaf it returns the leaf value.
+probabilities; at a leaf it returns the leaf value. With every feature
+known this is prediction, which ``predict_tree`` and ``predict_margin``
+take from the package's sweep for one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from subsage.errors import InputError
 from subsage.tree_model import ROOT_ID, Ensemble, Tree
@@ -63,4 +67,18 @@ def cond_exp_ensemble(ensemble: Ensemble, mask: SubsetMask) -> float:
     total = ensemble.base_score
     for tree in ensemble.trees:
         total += cond_exp_tree(tree, mask)
+    return total
+
+
+def predict_tree(tree: Tree, x) -> float:
+    """One tree's output for one feature row: the sweep with every feature known."""
+    out = tree.sweep(np.asarray(x, dtype=np.float64)[:, None], tree.feature_set)
+    return float(np.ravel(out)[0])
+
+
+def predict_margin(ensemble: Ensemble, x) -> float:
+    """Raw additive output for one feature row."""
+    total = ensemble.base_score
+    for tree in ensemble.trees:
+        total += predict_tree(tree, x)
     return total

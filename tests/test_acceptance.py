@@ -29,19 +29,18 @@ from subsage.estimator import (
     LossKind,
     build_subset_family,
     subsage_estimate,
-    subsage_stumps,
 )
 from subsage.shap_erfc import shap_exact
-from subsage.synthetic import SyntheticConfig, TrueMoments, true_shap
+from subsage.synthetic import SyntheticConfig
 from subsage.tree_model import (
     ROOT_ID,
     Ensemble,
     annotate_probabilities,
     load_model,
-    predict_margin,
 )
 
-from cond_exp_oracle import SubsetMask, cond_exp_tree
+from closed_forms import TrueMoments, subsage_stumps, true_shap
+from cond_exp_oracle import SubsetMask, cond_exp_tree, predict_margin
 from conftest import (
     dense_phi,
     make_depth2,
@@ -527,7 +526,7 @@ def test_criterion_12_true_shap_oracle(pipeline):
 
 def test_criterion_13_linear_regression_oracle():
     rng = np.random.default_rng(777)
-    from subsage.synthetic import linreg_population_subsage, linreg_sample_subsage
+    from closed_forms import linreg_population_subsage, linreg_sample_subsage
 
     beta_hat, slope, sigma_x = 1.3, 0.7, 2.0
     n = 100_000

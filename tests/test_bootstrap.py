@@ -295,6 +295,21 @@ class TestReport:
         assert "x0" in doc["per_subset_deltas"]
         assert len(doc["per_subset_deltas"]) == 4 + 1  # empty, 3 singletons, rest
 
+    @pytest.mark.parametrize("key", ["empty", "rest"])
+    def test_feature_named_like_a_subset_key(self, rng, key):
+        data, ens = _fixture(rng, m=4)
+        names = ("x0", key, "x2", "x3")
+        cfg = BootstrapConfig(n_draws=5, alpha=0.2, seed=1)
+        result = paired_bootstrap(ens, 0, data, LossKind.SQUARED_ERROR, cfg)
+        with pytest.raises(InputError, match=f"feature column '{key}' clashes"):
+            report_dict(result, names)
+        # As feature k the name is no singleton's key, so no delta is lost.
+        result = paired_bootstrap(ens, 1, data, LossKind.SQUARED_ERROR, cfg)
+        deltas = report_dict(result, names)["per_subset_deltas"]
+        assert len(deltas) == len(result.per_subset_deltas) == 5
+        assert deltas["empty"] == result.per_subset_deltas[frozenset()]
+        assert deltas["rest"] == result.per_subset_deltas[frozenset({0, 2, 3})]
+
     def test_subset_key_forms(self):
         names = ("a", "b", "c")
         assert subset_key(frozenset(), names) == "empty"

@@ -206,6 +206,21 @@ class TestRank:
         for idx in set(range(100)) - used:
             assert scores[f"x{idx + 1}"] == 0.0
 
+    def test_names_with_comma_quote_newline_read_back(self, tmp_path, rng, capsys):
+        names = ("a,b", 'q"x', "two\nlines")
+        data = Dataset(names, rng.normal(size=(3, 30)), (FeatureKind.CONTINUOUS,) * 3,
+                       rng.normal(size=30))
+        data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+        write_csv(data, data_csv)
+        stumps = tuple(make_stump(j, 0.0, -1.0 - j, 1.0) for j in range(3))
+        write_model(Ensemble(trees=stumps, n_features=3), model_path)
+        assert run(["rank", "--model", model_path, "--data", data_csv, "--top", 3]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines(keepends=True)))
+        assert rows[0] == ["feature_name", "kappa"]
+        assert all(len(row) == 2 for row in rows)
+        assert sorted(name for name, _ in rows[1:]) == sorted(names)
+        assert float(rows[1][1]) >= float(rows[2][1]) >= float(rows[3][1]) > 0.0
+
 
 class TestModelErrors:
     def test_impossible_probability_is_data_error(self, tmp_path, rng, capsys):
@@ -397,6 +412,38 @@ class TestSubsageCommand:
         assert rows[0] == ["feature", "iteration", "value"]
         assert [r[:2] for r in rows[1:]] == [[f, str(i)] for f in names[:2] for i in (1, 2, 3, 4)]
 
+    @pytest.mark.parametrize("key", ["empty", "rest"])
+    def test_feature_named_like_a_report_key_is_data_error(self, tmp_path, rng, capsys,
+                                                          monkeypatch, key):
+        data = Dataset(("a", key, "c", "d"), rng.normal(size=(4, 30)),
+                       (FeatureKind.CONTINUOUS,) * 4, rng.normal(size=30))
+        data_csv, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+        write_csv(data, data_csv)
+        write_model(Ensemble(trees=(make_stump(0, 0.0, -1.0, 1.0),), n_features=4), model_path)
+        report = tmp_path / "report.json"
+        args = ["subsage", "--model", model_path, "--test", data_csv, "--bootstrap", 4,
+                "--alpha", "0.25", "--out", report]
+
+        # Feature k itself may carry the name: k is no singleton of Q_k.
+        assert run([*args, "--feature", key]) == 0
+        (doc,) = json.loads(report.read_text())
+        assert sorted(doc["per_subset_deltas"]) == sorted(["empty", "a", "c", "d", "rest"])
+        report.unlink()
+        capsys.readouterr()
+
+        import subsage.bootstrap
+
+        def no_draws(*_):
+            raise AssertionError("drew before checking the feature names")
+
+        monkeypatch.setattr(subsage.bootstrap, "paired_bootstrap", no_draws)
+        assert run([*args, "--feature", "c", "--feature", "a"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: feature column {key!r} clashes with the per-subset key {key!r} "
+            f"in the report of feature 'c'\n"
+        )
+        assert not report.exists()
+
     def test_warns_when_test_is_train(self, small_pipeline, tmp_path, capsys):
         data_csv, model_path = small_pipeline
         code = run(
@@ -426,7 +473,8 @@ class TestSubsageCommand:
 class TestConvert:
     def test_round_trip(self, tmp_path, rng):
         from test_tree_model import dump_xgb_json
-        from subsage.tree_model import load_model, predict_margin
+        from subsage.tree_model import load_model
+        from cond_exp_oracle import predict_margin
 
         data = random_dataset(rng, 40, 5)
         from conftest import random_ensemble

@@ -12,10 +12,15 @@ from subsage.tree_model import (
     annotate_probabilities,
     branch,
     leaf,
-    predict_margin,
 )
 
-from cond_exp_oracle import SubsetMask, cond_exp_ensemble, cond_exp_tree
+from cond_exp_oracle import (
+    SubsetMask,
+    cond_exp_ensemble,
+    cond_exp_tree,
+    predict_margin,
+    predict_tree,
+)
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
 
 
@@ -35,7 +40,7 @@ def product_enumeration_oracle(tree, mask: SubsetMask, data: Dataset) -> float:
         for f, i in zip(unknown, combo):
             row[f] = data.column(f)[i]
         x = [row.get(f, 0.0) for f in range(data.n_cols)]
-        total += tree.predict(x)
+        total += predict_tree(tree, x)
     return total / n ** len(unknown)
 
 
@@ -47,7 +52,7 @@ class TestCondExpTree:
             x = data.columns[:, i]
             mask = SubsetMask.from_row(x, range(3))
             for tree in ens.trees:
-                assert cond_exp_tree(tree, mask) == tree.predict(x)
+                assert cond_exp_tree(tree, mask) == predict_tree(tree, x)
 
     def test_hand_worked_two_feature_tree(self):
         # Root on feature 0 split at 20 with left probability 0.4;

@@ -12,10 +12,10 @@ from subsage.estimator import (
     SubSageEngine,
     build_subset_family,
     subsage_estimate,
-    subsage_stumps,
 )
 from subsage.tree_model import ROOT_ID, Ensemble, Tree, annotate_probabilities, branch, leaf
 
+from closed_forms import subsage_stumps
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
 
 

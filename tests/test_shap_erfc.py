@@ -21,10 +21,9 @@ from subsage.tree_model import (
     Tree,
     annotate_probabilities,
     leaf,
-    predict_margin,
 )
 
-from cond_exp_oracle import SubsetMask, cond_exp_tree
+from cond_exp_oracle import SubsetMask, cond_exp_tree, predict_margin, predict_tree
 from conftest import dense_phi, make_depth2, make_stump, random_dataset, random_ensemble
 from test_engine_cells import ragged_tree
 
@@ -66,7 +65,7 @@ class TestShapExact:
         for i in range(data.n_rows):
             x = data.columns[:, i]
             # One player: its value is the full prediction minus the mean.
-            assert phi[i, 1] == pytest.approx(tree.predict(x) - baseline, abs=1e-12)
+            assert phi[i, 1] == pytest.approx(predict_tree(tree, x) - baseline, abs=1e-12)
             assert phi[i, 0] == 0.0
             assert phi[i, 2] == 0.0
 

@@ -8,13 +8,16 @@ from subsage.dataset import FeatureKind, split
 from subsage.errors import InputError
 from subsage.synthetic import (
     SyntheticConfig,
-    TrueMoments,
     config_sidecar,
     generate_synthetic,
-    linreg_population_subsage,
-    linreg_sample_subsage,
     noise_feature_params,
     true_response,
+)
+
+from closed_forms import (
+    TrueMoments,
+    linreg_population_subsage,
+    linreg_sample_subsage,
     true_shap,
 )
 

@@ -25,12 +25,11 @@ from subsage.tree_model import (
     branch,
     leaf,
     load_model,
-    predict_margin,
     predict_margin_batch,
     write_model,
 )
 
-from cond_exp_oracle import SubsetMask, cond_exp_tree
+from cond_exp_oracle import SubsetMask, cond_exp_tree, predict_margin
 from test_engine_cells import cases
 
 

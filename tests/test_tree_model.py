@@ -6,7 +6,7 @@ import pytest
 from subsage.cond_expect import cond_exp_batch
 from subsage.dataset import Dataset, FeatureKind, empirical_prob_below, resample, ResampleIndex
 from subsage.errors import InputError
-from subsage.estimator import LossKind, SubSageEngine, subsage_stumps
+from subsage.estimator import LossKind, SubSageEngine
 from subsage.shap_erfc import shap_exact
 from subsage.tree_model import (
     ROOT_ID,
@@ -17,11 +17,12 @@ from subsage.tree_model import (
     import_xgb_dump,
     leaf,
     load_model,
-    predict_margin,
     trees_containing,
     write_model,
 )
 
+from closed_forms import subsage_stumps
+from cond_exp_oracle import predict_margin
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
 
 

@@ -170,10 +170,10 @@ def paired_bootstrap(
 ) -> BootstrapResult:
     """Bootstrap the sub-SAGE estimate of feature ``k`` on ``test``.
 
-    The ensemble is annotated on ``test`` for the point estimate; each
-    draw re-annotates on its replicate through a weighted counting pass
-    over the pre-indexed distinct thresholds, which is exactly equivalent
-    to materializing the replicate and re-annotating.
+    The ensemble is annotated on ``test`` for the point estimate. A draw
+    is a row-weight vector: the engine re-annotates from the weights summed
+    per joint grid cell, exactly as on the materialized replicate, and sums
+    loss gaps per cell. The jackknife makes n draws, one weight zeroed each.
     """
     if test.n_rows < 2:
         raise InputError("paired bootstrap needs at least 2 rows")

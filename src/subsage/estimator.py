@@ -101,23 +101,17 @@ def build_subset_family(m: int, k: int) -> SubsetFamily:
 # cells counted with k's cuts stayed within 256.
 _REST_CELLS = 128
 
-# Float64 values per block of a draw's subset rows, about 1 MB: a block
-# stays in cache however many features the trees use, while on few data
-# rows one numpy call still covers many subsets.
+# Float64 values per block of a draw's code or rest rows, about 1 MB: a
+# block stays in cache however many features the trees use, while on few
+# data rows one numpy call still covers many subsets.
 _BLOCK_FLOATS = 2**17
 
 
 def _blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
-    """Bounds (lo, hi) splitting ``range(n_rows)`` into the fewest blocks
-    of near-equal size that hold at most ``_BLOCK_FLOATS`` values of
-    ``width`` each, or 3 rows. No block holds exactly one row unless
-    ``n_rows`` is 1: past 8192 values a row, einsum sums a lone row through
-    another kernel than a block of rows, which differs in the last bits,
-    while blocks of two or more rows agree bitwise with one einsum over
-    all of them."""
-    n_blocks = -(-n_rows // max(3, _BLOCK_FLOATS // width))
-    bounds = [i * n_rows // n_blocks for i in range(n_blocks + 1)]
-    return list(zip(bounds, bounds[1:]))
+    """Bounds (lo, hi) splitting ``range(n_rows)`` into blocks of at most
+    ``_BLOCK_FLOATS`` values of ``width`` each, and at least one row."""
+    size = max(1, _BLOCK_FLOATS // width)
+    return [(lo, min(lo + size, n_rows)) for lo in range(0, n_rows, size)]
 
 
 def _dense_rank(code: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
@@ -165,13 +159,13 @@ class SubSageEngine:
 
     A cell space is a set of split thresholds; rows in one of its cells
     fall on the same side of each, so they share every conditional
-    expectation that tests only those thresholds. Each row keeps a small-int
-    cell id in a few spaces: each used feature's threshold grid, one pair
-    lattice (k, m) per feature m sharing a tree with k, and the spaces of the
-    trees that split on k. A draw turns its branch probabilities into one
-    small table per space and gathers the per-subset vectors from them in
-    blocks of about ``_BLOCK_FLOATS`` values, so memory is O(rows x spaces)
-    ints plus O(rows) floats per draw, however many features are used.
+    expectation that tests only those thresholds. A row enters the loss
+    difference of the empty set and of each singleton m only through its
+    grid cells of k and m and its response, so it keeps one joint cell code
+    per such subset, and a cell id in each space of the rest subset. A draw
+    sums the weights and weighted responses per joint cell, reads the branch
+    probabilities off their grid marginals, and sums closed-form loss gaps
+    per cell; only the rest subset gathers per row.
 
     Grid and pair tables are filled from leaf-box corners: a leaf adds its
     coefficient at the low corner of its box and takes it off past each
@@ -209,11 +203,11 @@ class SubSageEngine:
             return  # no tree splits on k: every estimate is exactly zero
         s = len(self._singles)
         self._rest_row = s + 1 if s > 1 else s
-        with_m = {m: [t for t in tau if m in trees[t].feature_set] for m in self._singles}
+        shared = set().union(*(trees[t].feature_set for t in tau)) - {k}
         # Singletons of features sharing a tree with k first: their d^{m}
         # differs from d^{} by a correction over those trees.
-        self._singles.sort(key=lambda m: not with_m[m])
-        self._n_pairs = pairs = sum(map(bool, with_m.values()))
+        self._singles.sort(key=lambda m: m not in shared)
+        self._n_pairs = pairs = len(shared)
 
         # Distinct (feature, threshold) pairs grouped by feature, k first,
         # sorted by threshold; p0 is the annotation their nodes must share.
@@ -227,8 +221,11 @@ class SubSageEngine:
                         f"nodes splitting feature {f} at {t!r} disagree on prob_left "
                         f"({p_of[f, t]!r} vs {p!r})"
                     )
+        by_feat: dict[int, list[float]] = {}
+        for f, t in p_of:
+            by_feat.setdefault(f, []).append(t)
         feats = [k, *self._singles]
-        grids = {g: np.unique([t for f, t in p_of if f == g]) for g in feats}
+        grids = {f: np.unique(ts) for f, ts in by_feat.items()}
         sizes = np.array([len(grids[f]) for f in feats])
         thr0 = dict(zip(feats, np.cumsum(sizes) - sizes))
         self._p0 = np.array([p_of[(f, t)] for f in feats for t in grids[f]])
@@ -302,10 +299,8 @@ class SubSageEngine:
                 groups[-1].append(t)
             else:
                 groups.append([t])
-        # Gather rows: each singleton's margin F, then d^{} (the empty set's
-        # gap and that of every singleton sharing no tree with k), then the
-        # pair and rest tables.
-        self._ids = np.empty((s + 1 + pairs + len(groups), self.n), np.intp)
+        # Each row's cell id in each rest space, as a table index.
+        self._rest_ids = np.empty((len(groups), self.n), np.intp)
         self._n_rest = len(groups)
 
         # Table entries: each adds a signed leaf coefficient of one class
@@ -326,16 +321,13 @@ class SubSageEngine:
         # prefix sums hold k's d^{} and each singleton m's margin given x_m;
         # the empty set's margin; each pair space's (cuts_k + 1) x (cuts_m + 1)
         # lattice, whose 2-D prefix sums hold d^{m} - d^{} over the tau_k
-        # trees that use m; then the cells of the rest spaces.
+        # trees that use m; a slot that stays 0; then the rest spaces' cells.
         rows = np.stack((np.ones(s + 1, np.intp), sizes + 1))
         grid0, _, self._lattices, self._grid1 = _pack(rows[:, :1], 0)
         grid1, _, blocks, self._grids_end = _pack(rows[:, 1:], self._grid1)
         grid0 = np.concatenate((grid0, grid1))
         self._lattices += blocks
         self._empty_slot = self._grids_end
-        self._ids[s] = self._iv[k]
-        for row, m in enumerate(self._singles):
-            np.add(self._iv[m], grid0[row + 1], out=self._ids[row])
         # Weighted count below threshold j of f = cumulative weight of f's
         # grid cells 0..j; integer weights keep every partial sum exact.
         self._count_lo = np.repeat(grid0, sizes)
@@ -353,7 +345,7 @@ class SubSageEngine:
 
         # Pair lattices: their axes are the cuts of k and of m in the trees
         # the two share. pos[axis, pair] maps a grid cell (or ``none``) to its
-        # lattice position, the number of cuts below it, for rows and corners.
+        # lattice position, the number of cuts below it, for cells and corners.
         pair_of = np.full(ensemble.n_features, -1)
         pair_of[self._singles[:pairs]] = np.arange(pairs)
         pos = np.zeros((2, pairs, none + 1), np.intp)
@@ -366,8 +358,30 @@ class SubSageEngine:
         pos = pos.cumsum(axis=2)
         origin, stride, blocks, slot = _pack(pos[:, :, -1] + 1, self._empty_slot + 1)
         self._lattices += blocks
-        for i, m in enumerate(self._singles[:pairs]):
-            self._ids[s + 1 + i] = origin[i] + pos[0, i, self._iv[k]] * stride[i] + pos[1, i, self._iv[m]]
+        # Joint cells: the empty set's are k's grid cells, and singleton m's
+        # the occupied (k cell, m cell) pairs, ranked densely; codes number
+        # them one subset after another. Per cell, the table indices of its
+        # margin F, its gap d^{} and, if m shares a tree with k, its pair
+        # lattice position; other cells take the next slot, which stays 0.
+        k_rank, n_k = _dense_rank(self._iv[k], sizes[0] + 1)
+        self._codes = np.empty((s + 1, self.n), np.intp)
+        self._codes[0] = self._iv[k]
+        cells, self._cell0 = [np.stack((np.arange(sizes[0] + 1),) * 2)], [0, sizes[0] + 1]
+        for row, m in enumerate(self._singles, 1):
+            width = sizes[row] + 1
+            code, count = _dense_rank(k_rank * width + self._iv[m], n_k * width)
+            np.add(code, self._cell0[-1], out=self._codes[row])
+            cells.append(np.empty((2, count), np.intp))
+            cells[-1][:, code] = self._iv[k], self._iv[m]
+            self._cell0.append(self._cell0[-1] + count)
+        at_k, at_m = np.concatenate(cells, axis=1)
+        subset = np.repeat(np.arange(s + 1), np.diff(self._cell0))
+        self._cell_slots = np.stack((grid0[subset] + at_m, at_k, np.full_like(at_k, slot)))
+        self._cell_slots[0, : self._cell0[1]] = self._empty_slot
+        at = slice(self._cell0[1], self._cell0[pairs + 1])
+        i = subset[at] - 1
+        self._cell_slots[2, at] = origin[i] + pos[0, i, at_k[at]] * stride[i] + pos[1, i, at_m[at]]
+        slot += 1
         # Corners of each shared tree's leaf boxes: both features known, then
         # k only, m only, and neither.
         has_k = np.array([k in tree.feature_set for tree in trees])
@@ -397,9 +411,9 @@ class SubSageEngine:
         # on each side that bounds a cell. The mask has a row per leaf, so
         # each feature updates whole rows; a cell's entries still come in
         # leaf order.
-        for row, group in enumerate(groups, s + 1 + pairs):
+        for row, group in enumerate(groups):
             cell, rep = self._cells(self._tids(group))
-            np.add(cell, slot, out=self._ids[row])
+            np.add(cell, slot, out=self._rest_ids[row])
             leaves = _ranges(self._leaf0[group], self._n_leaves[group])
             box = _ranges(box0[leaves], widths[leaves])
             col = np.repeat(np.arange(len(leaves)), widths[leaves])
@@ -488,7 +502,7 @@ class SubSageEngine:
         rank[order] = np.arange(len(order))
         return np.cumsum(count) - count, rank
 
-    # -- probability refresh -------------------------------------------------
+    # -- draws ---------------------------------------------------------------
 
     def _weights(self, weights) -> tuple[np.ndarray, float]:
         """Row weights as float64 and their total; they must be one per row,
@@ -504,22 +518,28 @@ class SubSageEngine:
             raise InputError("weights must have positive total")
         return w, total
 
-    def _probs(self, weights: np.ndarray, total: float) -> np.ndarray:
-        """Branch probabilities recomputed from weighted column fractions.
-        With multiplicity weights this equals annotating on the materialized
-        replicate: both are exact integer counts divided by the total."""
-        # Grid spaces own disjoint slots, so each slot's count comes from one
-        # row, adding its weights in row order, whichever rows share a call.
-        blocks = _blocks(len(self._singles) + 1, self.n)
-        tiled = np.tile(weights, max(hi - lo for lo, hi in blocks))
-        counts = np.zeros(self._grids_end)
+    def _cell_sums(self, w: np.ndarray, blocks) -> np.ndarray:
+        """Weights and weighted responses summed per joint cell, one
+        bincount per block of code rows. A cell's rows share a code row, so
+        they add in row order whatever the blocks."""
+        tiled = np.tile(w, blocks[0][1]), np.tile(w * self.y, blocks[0][1])
+        sums = np.empty((2, self._cell0[-1]))
         for lo, hi in blocks:
-            rows = self._ids[lo:hi].ravel()
-            counts += np.bincount(rows, tiled[: len(rows)], self._grids_end)
-        cum = np.concatenate(([0.0], np.cumsum(counts)))
-        return (cum[self._count_hi] - cum[self._count_lo]) / total
+            a, b = self._cell0[lo], self._cell0[hi]
+            codes = self._codes[lo:hi].ravel()
+            for out, x in zip(sums, tiled):
+                out[a:b] = np.bincount(codes, x[: len(codes)], b)[a:]
+        return sums
 
-    # -- estimation ----------------------------------------------------------
+    def _grid_probs(self, sw: np.ndarray, total: float) -> np.ndarray:
+        """Branch probabilities from the joint cells' weight sums ``sw``
+        added up per grid cell: under multiplicity weights, exact integer
+        counts divided by the total, as on the materialized replicate."""
+        c0 = self._cell0[1]
+        grid = np.bincount(self._cell_slots[0, c0:], sw[c0:], self._grids_end)
+        grid[:c0] = sw[:c0]
+        cum = np.concatenate(([0.0], np.cumsum(grid)))
+        return (cum[self._count_hi] - cum[self._count_lo]) / total
 
     def _coefficients(self, p: np.ndarray) -> np.ndarray:
         """Leaf coefficients of every class under branch probabilities
@@ -534,15 +554,19 @@ class SubSageEngine:
     def _table(self, p: np.ndarray) -> np.ndarray:
         """Every table under branch probabilities ``p``: one bincount of the
         signed coefficients, then prefix sums along both axes of every block
-        of grid rows and pair lattices."""
+        of grid rows and pair lattices. Along axis 1 a wide block adds whole
+        rows in turn: cumsum's additions, but not one element at a time."""
         coef = self._coefficients(p)
         signed = np.concatenate((coef, -coef))
         table = np.bincount(self._entry_at, signed[self._entry_src], self._n_slots)
         for lo, hi, shape in self._lattices:
             lattice = table[lo:hi].reshape(shape)
             lattice.cumsum(axis=2, out=lattice)
-            if shape[1] > 1:
+            if shape[0] * shape[2] < 2048:
                 lattice.cumsum(axis=1, out=lattice)
+            else:
+                for row in range(1, shape[1]):
+                    lattice[:, row] += lattice[:, row - 1]
         table[self._empty_slot] += self.ensemble.base_score
         table[self._grid1 : self._grids_end] += table[self._empty_slot]
         return table
@@ -554,62 +578,37 @@ class SubSageEngine:
         w, total = (np.ones(self.n), float(self.n)) if weights is None else self._weights(weights)
         if self.k not in self.used_features:
             return None
-        table = self._table(self._p0 if weights is None else self._probs(w, total))
-        s, pairs = len(self._singles), self._n_pairs
-        # Every id indexes the table, so the gathers into buffers pass
-        # mode='clip', which writes ``out`` directly; 'raise' buffers it.
-        d0 = np.take(table, self._ids[s])
-        # Subset i is the empty set (i = 0) or singleton i: its F is a row
-        # of singleton margins (the empty set's is constant), its d is d0
-        # plus pair row i for the first ``pairs`` singletons.
-        blocks = _blocks(s + 1, self.n)
-        f_buf = np.empty((max(hi - lo for lo, hi in blocks), self.n))
-        d_buf = np.empty_like(f_buf)
-        delta = np.empty(s + 1)
+        blocks = _blocks(len(self._codes), self.n)
+        sw, swy = self._cell_sums(w, blocks)
+        table = self._table(self._p0 if weights is None else self._grid_probs(sw, total))
+        # Per block, cells' F and d (d^{} + pair term), and each subset's gaps.
+        delta = np.empty(len(self._codes) + (self._n_rest > 0))
         for lo, hi in blocks:
-            f, d = f_buf[: hi - lo], d_buf[: hi - lo]
-            if lo == 0:
-                f[0] = table[self._empty_slot]
-            # Rows [a, b) have a pair space; the others take d0 as it is.
-            a = max(lo, 1)
-            b = max(a, min(hi, pairs + 1))
-            np.take(table, self._ids[a - 1 : hi - 1], out=f[a - lo :], mode="clip")
-            d[: a - lo] = d0
-            d[b - lo :] = d0
-            if a < b:
-                np.take(table, self._ids[s + a : s + b], out=d[a - lo : b - lo], mode="clip")
-                d[a - lo : b - lo] += d0
-            delta[lo:hi] = self._loss_gaps(d, f, w)
-        delta /= total
-        if not self._n_rest:
-            return delta
-        # d^rest is the tau_k trees' prediction plus the rest rows, and the
-        # margin given every feature but k is the prediction - d^rest. An
-        # axis-0 sum adds rows in order, so carrying the running sum into
-        # row 0 of each block adds the rest rows as one sum over all would.
-        rest = self._ids[s + 1 + pairs :]
-        d = np.take(table, rest[0])
-        step = len(f_buf) - 1
-        for lo in range(1, len(rest), step):
-            part = f_buf[: 1 + min(step, len(rest) - lo)]
-            part[0] = d
-            np.take(table, rest[lo : lo + step], out=part[1:], mode="clip")
-            part.sum(axis=0, out=d)
-        d += self._tau_pred
-        return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
+            a, b = self._cell0[lo], self._cell0[hi]
+            f, d, pair = (np.take(table, c[a:b], mode="clip") for c in self._cell_slots)
+            gaps = self._gaps(f, np.add(d, pair, out=d), sw[a:b], swy[a:b])
+            delta[lo:hi] = np.add.reduceat(gaps, np.subtract(self._cell0[lo:hi], a))
+        if self._n_rest:
+            # d^rest is the tau_k trees' prediction plus the rest rows, added
+            # in order: row 0 of each block carries the axis-0 sum so far.
+            rest = _blocks(self._n_rest, self.n)
+            buf, d = np.empty((1 + rest[0][1], self.n)), np.zeros(self.n)
+            for lo, hi in rest:
+                buf[0] = d
+                np.take(table, self._rest_ids[lo:hi], out=buf[1 : 1 + hi - lo], mode="clip")
+                buf[: 1 + hi - lo].sum(axis=0, out=d)
+            d += self._tau_pred
+            delta[-1] = self._gaps(self._pred - d, d, w, w * self.y).sum()
+        return delta / total
 
-    def _loss_gaps(self, d, f, w):
-        """Weighted sums of L(f) - L(f + d) per row of margins ``f``, which
-        squared error overwrites."""
+    def _gaps(self, f, d, sw, swy):
+        """L(f) - L(f + d) summed over the rows of cells that share the
+        margin f and gap d, from their sums of weights and weighted responses
+        (a row is a cell of its own): the sum of w d (2 (y - f) - d), or of
+        w ((y - 1) d + softplus(-f) - softplus(-f - d)) for cross-entropy."""
         if self.loss is LossKind.SQUARED_ERROR:
-            # d (2 (y - f) - d), formed in f's buffer in that order.
-            terms = np.subtract(self.y, f, out=f)
-            terms *= 2.0
-            terms -= d
-            terms *= d
-        else:
-            terms = (self.y - 1.0) * d + np.logaddexp(0.0, -f) - np.logaddexp(0.0, -f - d)
-        return np.einsum("...j,j->...", terms, w)
+            return d * (2.0 * (swy - f * sw) - d * sw)
+        return (swy - sw) * d + sw * (np.logaddexp(0.0, -f) - np.logaddexp(0.0, -f - d))
 
     def _psi(self, delta) -> float:
         if delta is None:

@@ -4,8 +4,8 @@
 before corner tables: one slot per cell of each space, and one entry per
 (cell, leaf) whose box holds the cell, for every (tree, known-set, sign)
 class. Terms with nothing known add to one scalar slot per space, which a
-draw adds to each of its cells. Draws reuse the engine's kernel through
-``_table``, so engine and reference differ only in how tables are filled.
+draw adds to each of its cells. Each row keeps a slot per space, and draws
+go through the per-row kernel of ``row_kernel``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from subsage.estimator import (
 )
 from subsage.tree_model import predict_margin_batch, trees_containing
 
+from row_kernel import RowKernel
+
 
 def leaf_paths(tree):
     """Leaf positions, and per leaf the positions of its root-to-leaf
@@ -37,8 +39,8 @@ def leaf_paths(tree):
     return leaves, path, left
 
 
-class SlotEngine(SubSageEngine):
-    """The engine with per-cell slot tables."""
+class SlotEngine(RowKernel, SubSageEngine):
+    """The engine with per-cell slot tables and per-row draws."""
 
     def __init__(self, ensemble: Ensemble, data: Dataset, k: int, loss: LossKind):
         if not ensemble.annotated:

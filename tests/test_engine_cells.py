@@ -40,6 +40,7 @@ from subsage.tree_model import (
 
 from cells_oracle import sorted_cells
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
+from row_kernel import RowKernel, row_ids
 from slot_engine import SlotEngine, leaf_paths
 
 RTOL = 1e-12
@@ -103,6 +104,14 @@ def loss_scale(ens, data, loss) -> float:
 
 def assert_close(a, b, scale):
     assert abs(a - b) <= RTOL * max(abs(a), abs(b), scale), (a, b)
+
+
+def cell_probs(engine, weights):
+    """The engine's branch probabilities under ``weights``, read off the
+    grid marginals of its joint-cell weight sums."""
+    w, total = engine._weights(weights)
+    sw, _ = engine._cell_sums(w, _blocks(len(engine._codes), engine.n))
+    return engine._grid_probs(sw, total)
 
 
 def naive_delta(ensemble, k, subset, test, loss):
@@ -219,7 +228,7 @@ def test_ragged_factors_equal_padded_loop(case, seed):
     for weights in (None, *(rng.integers(0, 3, data.n_rows).astype(float) for _ in range(3))):
         if weights is not None and weights.sum() == 0:
             continue
-        p = engine._p0 if weights is None else engine._probs(*engine._weights(weights))
+        p = engine._p0 if weights is None else cell_probs(engine, weights)
         np.testing.assert_array_equal(engine._coefficients(p), padded._coefficients(p))
         assert engine.estimate(weights) == padded.estimate(weights)
 
@@ -283,55 +292,26 @@ def test_unused_feature_report_is_all_zero(tmp_path):
     )
 
 
-class WholeMatrixEngine(SubSageEngine):
-    """The engine with its former draw kernel: one gather of every
-    subset's F and d as a (2s + 2 + rest) x rows matrix, with a constant
-    row for the empty set's F and d^{} repeated for each singleton sharing
-    no tree with k, the loss gaps over all of it at once, and grid counts
-    from one bincount over tiled weights."""
+class WholeMatrixEngine(RowKernel, SubSageEngine):
+    """The engine's cells and tables with the per-row draw kernel of
+    ``row_kernel``, gathering through its rows' cell codes."""
 
     def __init__(self, ensemble, data, k, loss):
         super().__init__(ensemble, data, k, loss)
         if k in self.used_features:
-            s, pairs, ids = len(self._singles), self._n_pairs, self._ids
-            self._whole = np.vstack([
-                np.full(self.n, self._empty_slot), ids[: s + 1 + pairs],
-                *[ids[s]] * (s - pairs), ids[s + 1 + pairs :],
-            ])
-
-    def probs_for_weights(self, weights):
-        s = len(self._singles)
-        grid_ids = self._whole[1 : s + 2]
-        counts = np.bincount(grid_ids.ravel(), np.tile(weights, s + 1), self._grids_end)
-        cum = np.concatenate(([0.0], np.cumsum(counts)))
-        return (cum[self._count_hi] - cum[self._count_lo]) / weights.sum()
-
-    def _delta_rows(self, weights):
-        if self.k not in self.used_features:
-            return None
-        w = np.ones(self.n) if weights is None else weights
-        total = float(w.sum())
-        table = self._table(self._p0 if weights is None else self.probs_for_weights(w))
-        x = np.take(table, self._whole)
-        s = len(self._singles)
-        x[s + 2 : s + 2 + self._n_pairs] += x[s + 1]
-        delta = self._loss_gaps(x[s + 1 : 2 * s + 2], x[: s + 1], w) / total
-        if not self._n_rest:
-            return delta
-        d = x[2 * s + 2 :].sum(axis=0) + self._tau_pred
-        return np.append(delta, self._loss_gaps(d, self._pred - d, w) / total)
+            self._ids = row_ids(self)
 
 
-# Past 8192 rows einsum's kernel for a lone subset row parts from that for
-# a block; at this many rows a block holds BLOCK subset rows.
+# At this many rows a block of the counting pass holds BLOCK code rows.
 WIDE = 9001
 BLOCK = _BLOCK_FLOATS // WIDE
 
 
 @st.composite
 def block_cases(draw, s):
-    """(annotated ensemble, data, k, loss) whose trees use k and exactly
-    ``s`` other features, over few rows or over ``WIDE``."""
+    """(annotated ensemble, data, k, loss) whose ragged trees, of depth up
+    to 6, use k and exactly ``s`` other features, over few rows or over
+    ``WIDE``."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = max(3, s + 1 + draw(st.integers(0, 2)))
     n = draw(st.sampled_from((7, 40, WIDE)))
@@ -340,7 +320,7 @@ def block_cases(draw, s):
     k = draw(st.integers(0, m - 1))
     used = [k, *rng.choice([j for j in range(m) if j != k], s, replace=False).tolist()]
     trees = [
-        ragged_tree(rng, data, draw(st.integers(1, 4)), used)
+        ragged_tree(rng, data, draw(st.integers(1, 6)), used)
         for _ in range(draw(st.integers(1, 6)))
     ]
     missing = set(used).difference(*(tree.feature_set for tree in trees))
@@ -362,10 +342,14 @@ def block_cases(draw, s):
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_blocked_draws_equal_whole_matrix_kernel(s, data):
+    """Joint-cell draws against the per-row kernel over the same cells and
+    tables: branch probabilities bitwise equal under integer weights, and
+    per-subset deltas and point estimates within RTOL on the loss scale."""
     ens, test, k, loss = data.draw(block_cases(s))
     engine = SubSageEngine(ens, test, k, loss)
     oracle = WholeMatrixEngine(ens, test, k, loss)
     assert len(engine._singles) == s
+    scale = loss_scale(ens, test, loss)
     n = test.n_rows
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     jackknife = np.ones(n)
@@ -374,16 +358,19 @@ def test_blocked_draws_equal_whole_matrix_kernel(s, data):
     for weights in (None, np.ones(n), bootstrap, jackknife):
         if weights is not None:
             np.testing.assert_array_equal(
-                engine._probs(*engine._weights(weights)), oracle.probs_for_weights(weights)
+                cell_probs(engine, weights), oracle._probs(*oracle._weights(weights))
             )
-        np.testing.assert_array_equal(engine._delta_rows(weights), oracle._delta_rows(weights))
-        assert engine.estimate(weights) == oracle.estimate(weights)
+        for a, b in zip(engine._delta_rows(weights), oracle._delta_rows(weights), strict=True):
+            assert_close(a, b, scale)
+        fast, slow = engine.estimate(weights), oracle.estimate(weights)
+        assert_close(fast.psi_hat, slow.psi_hat, scale)
+        for subset, delta in slow.per_subset_deltas.items():
+            assert_close(fast.per_subset_deltas[subset], delta, scale)
 
 
-def test_blocks_cover_rows_without_a_lone_row():
-    assert BLOCK >= 3
+def test_blocks_cover_rows():
     for width in (7, 200, 3200, WIDE, 16_000, 10**6):
-        size = max(3, _BLOCK_FLOATS // width)
+        size = max(1, _BLOCK_FLOATS // width)
         for n_rows in range(1, 4 * min(size, 20) + 3):
             spans = _blocks(n_rows, width)
             assert [lo for lo, _ in spans] == [0, *(hi for _, hi in spans[:-1])]
@@ -391,7 +378,93 @@ def test_blocks_cover_rows_without_a_lone_row():
             sizes = [hi - lo for lo, hi in spans]
             assert max(sizes) <= size
             assert len(spans) == -(-n_rows // size)
-            assert n_rows == 1 or min(sizes) >= 2, (width, sizes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_draws_are_bitwise_equal_under_block_sizes(data):
+    """Each cell's sums come from the one block holding its code row, each
+    subset's gaps from one sum over its cells, and the rest rows add in
+    order across blocks, so the block size changes no bit: the default (one
+    block here), one that leaves a lone code row in the last block, one that
+    gives each code row its own block, and blocks of two rows, whose rest
+    rows carry their running sum. Bootstrap, jackknife and fractional
+    weights under both losses, with a rest space per tree of tau_k."""
+    s = data.draw(st.integers(2, 8))
+    ens, test, k, loss = data.draw(block_cases(s))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_REST_CELLS", 1)
+        engine = SubSageEngine(ens, test, k, loss)
+    n = test.n_rows
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    jackknife = np.ones(n)
+    jackknife[rng.integers(n)] = 0.0
+    bootstrap = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+    fractional = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8)
+    fractional[0] = 0.5
+    runs = []
+    cases = ((_BLOCK_FLOATS, [s + 1]), (s * n, [s, 1]), (n, [1] * (s + 1)), (2 * n, None))
+    for floats, sizes in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_BLOCK_FLOATS", floats)
+            assert sizes in (None, [hi - lo for lo, hi in _blocks(len(engine._codes), n)])
+            runs.append([
+                (engine.estimate(w), engine.psi_for_weights(w))
+                for w in (None, bootstrap, jackknife, fractional)
+            ])
+    assert all(run == runs[0] for run in runs)
+
+
+def bst_tree(feature, cuts, rng):
+    """A tree over one feature splitting at every one of the sorted
+    ``cuts``, each node at the median of the cuts it covers."""
+    nodes = []
+
+    def grow(nid, cuts):
+        if not len(cuts):
+            nodes.append(leaf(nid, float(rng.normal())))
+            return
+        mid = len(cuts) // 2
+        nodes.append(branch(nid, feature, float(cuts[mid]), 2 * nid, 2 * nid + 1))
+        grow(2 * nid, cuts[:mid])
+        grow(2 * nid + 1, cuts[mid + 1 :])
+
+    grow(1, cuts)
+    return Tree(nodes)
+
+
+def test_draw_memory_of_joint_cells_near_the_rows():
+    # k and each of 100 other features split at 64 = sqrt(n) cuts, so the
+    # joint cells of a singleton occupy most of the 65 x 65 cell pairs and
+    # all cells together approach the code rows; three depth-2 trees give
+    # pair lattices and rest rows. A draw holds three floats per occupied
+    # cell, the working arrays of one block at a time, the tables and the
+    # rest rows (the bound in the README's "How draws are computed").
+    rng = np.random.default_rng(20)
+    n, m = 4096, 101
+    data = random_dataset(rng, n, m)
+    levels = np.arange(1, 65) / 65
+    trees = [bst_tree(f, np.quantile(data.column(f), levels), rng) for f in range(m)]
+    median = lambda f: float(np.median(data.column(f)))
+    trees += [
+        make_depth2(0, median(0), f, median(f), f + 1, median(f + 1), tuple(rng.normal(size=4)))
+        for f in (1, 3, 5)
+    ]
+    ens = annotate_probabilities(Ensemble(trees=tuple(trees), n_features=m), data)
+    engine = SubSageEngine(ens, data, 0, LossKind.SQUARED_ERROR)
+    cells = engine._cell0[-1]
+    assert (len(engine._singles), engine._n_pairs, engine._n_rest) == (100, 6, 1)
+    assert cells > 0.5 * engine._codes.size
+    weights = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
+    tracemalloc.start()
+    try:
+        engine.psi_for_weights(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = 3 * len(engine._leaf_value) + len(engine._entry_at) + 2 * engine._n_slots
+    bound = 8 * (3 * cells + 6 * _BLOCK_FLOATS + tables + 8 * n)
+    assert peak < bound, (peak, bound)
 
 
 def test_draw_memory_does_not_grow_with_used_features():
@@ -411,7 +484,8 @@ def test_draw_memory_does_not_grow_with_used_features():
     engine = SubSageEngine(ens, data, 0, LossKind.SQUARED_ERROR)
     s = len(engine._singles)
     assert (s, engine._n_pairs) == (80, 20)
-    assert engine._ids.shape == (s + 1 + engine._n_pairs + engine._n_rest, n)
+    assert engine._codes.shape == (s + 1, n)
+    assert engine._rest_ids.shape == (engine._n_rest, n)
     weights = np.bincount(rng.integers(0, n, n), minlength=n).astype(np.float64)
     tracemalloc.start()
     try:
@@ -423,10 +497,12 @@ def test_draw_memory_does_not_grow_with_used_features():
 
 
 def test_gather_ids_stay_inside_the_table():
-    """Draws gather with ``np.take(..., mode='clip')``, which would clamp an
-    out-of-range id silently; every id must index the n_slots-long table a
-    draw builds. Random ragged engines of both losses, with pair
-    and rest rows."""
+    """Draws gather the rest rows with ``np.take(..., mode='clip')``, which
+    would clamp an out-of-range id silently, and count each block of code
+    rows into that block's cells with ``bincount``, which would grow past
+    them; every rest id and cell slot must index the n_slots-long table a
+    draw builds, and each code row must number only its own subset's cells.
+    Random ragged engines of both losses, with pair and rest rows."""
     seen = set()
     for seed in range(60):
         rng = np.random.default_rng(seed)
@@ -449,9 +525,13 @@ def test_gather_ids_stay_inside_the_table():
         engine = SubSageEngine(annotate_probabilities(ens, data), data, k, loss)
         if k not in engine.used_features:
             continue
-        ids = engine._ids
-        assert ids.shape[0] == len(engine._singles) + 1 + engine._n_pairs + engine._n_rest
+        ids = np.concatenate([engine._rest_ids.ravel(), engine._cell_slots.ravel()])
+        assert engine._rest_ids.shape[0] == engine._n_rest
         assert 0 <= ids.min() and ids.max() < engine._n_slots
+        cell0 = np.asarray(engine._cell0)
+        assert len(cell0) == len(engine._singles) + 2
+        assert (engine._codes.min(axis=1) >= cell0[:-1]).all()
+        assert (engine._codes.max(axis=1) < cell0[1:]).all()
         seen.add((loss, engine._n_pairs > 0, engine._n_rest > 0))
     for loss in LossKind:
         assert {(loss, True, True), (loss, False, False)} <= seen
@@ -471,7 +551,7 @@ def assert_cells_match_sorting(ensemble, data, k, loss, seed):
     oracle = sorting_engine(ensemble, data, k, loss)
     if k not in engine.used_features:
         return
-    for name in ("_ids", "_entry_at", "_entry_src"):
+    for name in ("_codes", "_rest_ids", "_cell_slots", "_entry_at", "_entry_src"):
         np.testing.assert_array_equal(getattr(engine, name), getattr(oracle, name), strict=True)
     n = data.n_rows
     rng = np.random.default_rng(seed)
@@ -518,7 +598,10 @@ def test_code_bound_passing_row_count_mid_space(loss):
 
     def counting_cells(self, tids):
         ranks_per_space.append(0)
-        return cells(self, tids)
+        # Only the ranks inside a space count, not those of the joint cells.
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(estimator, "_dense_rank", counting_rank)
+            return cells(self, tids)
 
     def counting_rank(code, bound):
         ranks_per_space[-1] += 1
@@ -526,7 +609,6 @@ def test_code_bound_passing_row_count_mid_space(loss):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SubSageEngine, "_cells", counting_cells)
-        mp.setattr(estimator, "_dense_rank", counting_rank)
         SubSageEngine(ens, data, 0, loss)
     assert max(ranks_per_space) == 3, ranks_per_space
     assert_cells_match_sorting(ens, data, 0, loss, 4)
@@ -587,7 +669,7 @@ def test_rest_space_of_trees_splitting_only_on_k(loss):
             mp.setattr(estimator, "_REST_CELLS", cap)
             engine = SubSageEngine(annotated, data, 0, loss)
             assert engine._n_rest == n_rest
-            first = engine._ids[len(engine._singles) + 1 + engine._n_pairs]
+            first = engine._rest_ids[0]
             assert (len(np.unique(first)) == 1) == (cap == 1)
             est = engine.estimate()
             for subset in family.subsets:
@@ -621,7 +703,7 @@ def test_corner_tables_match_slot_reference(case, seed):
             continue
         if weights is not None:
             np.testing.assert_array_equal(
-                engine._probs(*engine._weights(weights)), oracle._probs(*oracle._weights(weights))
+                cell_probs(engine, weights), oracle._probs(*oracle._weights(weights))
             )
         for a, b in zip(engine._delta_rows(weights), oracle._delta_rows(weights)):
             assert_close(a, b, scale)
@@ -634,7 +716,7 @@ def test_corner_tables_match_slot_reference(case, seed):
 def grid_and_pair_entries(engine) -> int:
     """Table entries outside the rest spaces: grid rows, the empty set's
     slot and the pair lattices, which come before the rest tables."""
-    rest = engine._ids[len(engine._singles) + 1 + engine._n_pairs :]
+    rest = engine._rest_ids
     return int(np.count_nonzero(engine._entry_at < (rest.min() if rest.size else engine._n_slots)))
 
 
@@ -666,6 +748,39 @@ def test_grid_and_pair_entries_grow_with_trees_not_rows():
         assert counts[-1] <= bound
     per_tree = [c / n for c, n in zip(counts, (10, 20, 40))]
     assert max(per_tree) <= 1.25 * min(per_tree), counts
+
+
+class CumsumEngine(SubSageEngine):
+    """The engine with every prefix sum of its tables taken by ``cumsum``."""
+
+    def _table(self, p):
+        coef = self._coefficients(p)
+        signed = np.concatenate((coef, -coef))
+        table = np.bincount(self._entry_at, signed[self._entry_src], self._n_slots)
+        for lo, hi, shape in self._lattices:
+            lattice = table[lo:hi].reshape(shape)
+            lattice.cumsum(axis=2, out=lattice)
+            lattice.cumsum(axis=1, out=lattice)
+        table[self._empty_slot] += self.ensemble.base_score
+        table[self._grid1 : self._grids_end] += table[self._empty_slot]
+        return table
+
+
+def test_row_by_row_prefix_sums_equal_cumsum():
+    # Depth-6 trees over 30 features: the pair lattices of k = 0 form a
+    # block of 29 lattices of 65 x 72 cells, wide enough to be summed along
+    # its rows by whole-row additions, which must add in cumsum's order.
+    rng = np.random.default_rng(8)
+    data = random_dataset(rng, 300, 30)
+    ens = random_ensemble(rng, data, 30, 6, feature_pool=range(30))
+    ens = annotate_probabilities(Ensemble(trees=ens.trees, n_features=30), data)
+    engine = SubSageEngine(ens, data, 0, LossKind.SQUARED_ERROR)
+    oracle = CumsumEngine(ens, data, 0, LossKind.SQUARED_ERROR)
+    assert any(a * c >= 2048 and b > 1 for _, _, (a, b, c) in engine._lattices)
+    weights = np.bincount(rng.integers(0, 300, 300), minlength=300).astype(float)
+    for p in (engine._p0, cell_probs(engine, weights)):
+        np.testing.assert_array_equal(engine._table(p), oracle._table(p))
+    assert engine.psi_for_weights(weights) == oracle.psi_for_weights(weights)
 
 
 def test_packed_lattices_are_disjoint_and_at_most_half_padding():

@@ -374,6 +374,10 @@ class SubSageEngine:
             cells.append(np.empty((2, count), np.intp))
             cells[-1][:, code] = self._iv[k], self._iv[m]
             self._cell0.append(self._cell0[-1] + count)
+        # Blocks of code rows count their cells from the block's first cell.
+        self._code_blocks = _blocks(s + 1, self.n)
+        for r0, r1 in self._code_blocks:
+            self._codes[r0:r1] -= self._cell0[r0]
         at_k, at_m = np.concatenate(cells, axis=1)
         subset = np.repeat(np.arange(s + 1), np.diff(self._cell0))
         self._cell_slots = np.stack((grid0[subset] + at_m, at_k, np.full_like(at_k, slot)))
@@ -518,17 +522,18 @@ class SubSageEngine:
             raise InputError("weights must have positive total")
         return w, total
 
-    def _cell_sums(self, w: np.ndarray, blocks) -> np.ndarray:
+    def _cell_sums(self, w: np.ndarray) -> np.ndarray:
         """Weights and weighted responses summed per joint cell, one
         bincount per block of code rows. A cell's rows share a code row, so
         they add in row order whatever the blocks."""
-        tiled = np.tile(w, blocks[0][1]), np.tile(w * self.y, blocks[0][1])
+        size = self._code_blocks[0][1]
+        tiled = np.tile(w, size), np.tile(w * self.y, size)
         sums = np.empty((2, self._cell0[-1]))
-        for lo, hi in blocks:
+        for lo, hi in self._code_blocks:
             a, b = self._cell0[lo], self._cell0[hi]
             codes = self._codes[lo:hi].ravel()
             for out, x in zip(sums, tiled):
-                out[a:b] = np.bincount(codes, x[: len(codes)], b)[a:]
+                out[a:b] = np.bincount(codes, x[: len(codes)], b - a)
         return sums
 
     def _grid_probs(self, sw: np.ndarray, total: float) -> np.ndarray:
@@ -554,19 +559,15 @@ class SubSageEngine:
     def _table(self, p: np.ndarray) -> np.ndarray:
         """Every table under branch probabilities ``p``: one bincount of the
         signed coefficients, then prefix sums along both axes of every block
-        of grid rows and pair lattices. Along axis 1 a wide block adds whole
-        rows in turn: cumsum's additions, but not one element at a time."""
+        of grid rows and pair lattices."""
         coef = self._coefficients(p)
         signed = np.concatenate((coef, -coef))
         table = np.bincount(self._entry_at, signed[self._entry_src], self._n_slots)
         for lo, hi, shape in self._lattices:
             lattice = table[lo:hi].reshape(shape)
             lattice.cumsum(axis=2, out=lattice)
-            if shape[0] * shape[2] < 2048:
+            if shape[1] > 1:
                 lattice.cumsum(axis=1, out=lattice)
-            else:
-                for row in range(1, shape[1]):
-                    lattice[:, row] += lattice[:, row - 1]
         table[self._empty_slot] += self.ensemble.base_score
         table[self._grid1 : self._grids_end] += table[self._empty_slot]
         return table
@@ -578,12 +579,11 @@ class SubSageEngine:
         w, total = (np.ones(self.n), float(self.n)) if weights is None else self._weights(weights)
         if self.k not in self.used_features:
             return None
-        blocks = _blocks(len(self._codes), self.n)
-        sw, swy = self._cell_sums(w, blocks)
+        sw, swy = self._cell_sums(w)
         table = self._table(self._p0 if weights is None else self._grid_probs(sw, total))
         # Per block, cells' F and d (d^{} + pair term), and each subset's gaps.
         delta = np.empty(len(self._codes) + (self._n_rest > 0))
-        for lo, hi in blocks:
+        for lo, hi in self._code_blocks:
             a, b = self._cell0[lo], self._cell0[hi]
             f, d, pair = (np.take(table, c[a:b], mode="clip") for c in self._cell_slots)
             gaps = self._gaps(f, np.add(d, pair, out=d), sw[a:b], swy[a:b])

@@ -64,9 +64,18 @@ class RowKernel:
         return np.einsum("...j,j->...", terms, w)
 
 
+def cell_codes(engine) -> np.ndarray:
+    """The engine's joint-cell codes numbered over all cells, not from the
+    first cell of their block of code rows."""
+    codes = engine._codes.copy()
+    for lo, hi in engine._code_blocks:
+        codes[lo:hi] += engine._cell0[lo]
+    return codes
+
+
 def row_ids(engine) -> np.ndarray:
     """``RowKernel``'s table indices for a joint-cell engine: each row's
     cell slots, gathered through its cell codes."""
-    codes, pairs = engine._codes, engine._n_pairs
+    codes, pairs = cell_codes(engine), engine._n_pairs
     f, d, pair = engine._cell_slots
     return np.vstack([f[codes[1:]], d[codes[:1]], pair[codes[1 : 1 + pairs]], engine._rest_ids])

@@ -40,7 +40,7 @@ from subsage.tree_model import (
 
 from cells_oracle import sorted_cells
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
-from row_kernel import RowKernel, row_ids
+from row_kernel import RowKernel, cell_codes, row_ids
 from slot_engine import SlotEngine, leaf_paths
 
 RTOL = 1e-12
@@ -110,7 +110,7 @@ def cell_probs(engine, weights):
     """The engine's branch probabilities under ``weights``, read off the
     grid marginals of its joint-cell weight sums."""
     w, total = engine._weights(weights)
-    sw, _ = engine._cell_sums(w, _blocks(len(engine._codes), engine.n))
+    sw, _ = engine._cell_sums(w)
     return engine._grid_probs(sw, total)
 
 
@@ -392,9 +392,6 @@ def test_draws_are_bitwise_equal_under_block_sizes(data):
     weights under both losses, with a rest space per tree of tau_k."""
     s = data.draw(st.integers(2, 8))
     ens, test, k, loss = data.draw(block_cases(s))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator, "_REST_CELLS", 1)
-        engine = SubSageEngine(ens, test, k, loss)
     n = test.n_rows
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     jackknife = np.ones(n)
@@ -406,8 +403,10 @@ def test_draws_are_bitwise_equal_under_block_sizes(data):
     cases = ((_BLOCK_FLOATS, [s + 1]), (s * n, [s, 1]), (n, [1] * (s + 1)), (2 * n, None))
     for floats, sizes in cases:
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_REST_CELLS", 1)
             mp.setattr(estimator, "_BLOCK_FLOATS", floats)
-            assert sizes in (None, [hi - lo for lo, hi in _blocks(len(engine._codes), n)])
+            engine = SubSageEngine(ens, test, k, loss)
+            assert sizes in (None, [hi - lo for lo, hi in engine._code_blocks])
             runs.append([
                 (engine.estimate(w), engine.psi_for_weights(w))
                 for w in (None, bootstrap, jackknife, fractional)
@@ -437,7 +436,7 @@ def test_draw_memory_of_joint_cells_near_the_rows():
     # k and each of 100 other features split at 64 = sqrt(n) cuts, so the
     # joint cells of a singleton occupy most of the 65 x 65 cell pairs and
     # all cells together approach the code rows; three depth-2 trees give
-    # pair lattices and rest rows. A draw holds three floats per occupied
+    # pair lattices and rest rows. A draw holds two floats per occupied
     # cell, the working arrays of one block at a time, the tables and the
     # rest rows (the bound in the README's "How draws are computed").
     rng = np.random.default_rng(20)
@@ -463,7 +462,7 @@ def test_draw_memory_of_joint_cells_near_the_rows():
     finally:
         tracemalloc.stop()
     tables = 3 * len(engine._leaf_value) + len(engine._entry_at) + 2 * engine._n_slots
-    bound = 8 * (3 * cells + 6 * _BLOCK_FLOATS + tables + 8 * n)
+    bound = 8 * (2 * cells + 6 * _BLOCK_FLOATS + tables + 8 * n)
     assert peak < bound, (peak, bound)
 
 
@@ -530,8 +529,9 @@ def test_gather_ids_stay_inside_the_table():
         assert 0 <= ids.min() and ids.max() < engine._n_slots
         cell0 = np.asarray(engine._cell0)
         assert len(cell0) == len(engine._singles) + 2
-        assert (engine._codes.min(axis=1) >= cell0[:-1]).all()
-        assert (engine._codes.max(axis=1) < cell0[1:]).all()
+        codes = cell_codes(engine)
+        assert (codes.min(axis=1) >= cell0[:-1]).all()
+        assert (codes.max(axis=1) < cell0[1:]).all()
         seen.add((loss, engine._n_pairs > 0, engine._n_rest > 0))
     for loss in LossKind:
         assert {(loss, True, True), (loss, False, False)} <= seen
@@ -748,39 +748,6 @@ def test_grid_and_pair_entries_grow_with_trees_not_rows():
         assert counts[-1] <= bound
     per_tree = [c / n for c, n in zip(counts, (10, 20, 40))]
     assert max(per_tree) <= 1.25 * min(per_tree), counts
-
-
-class CumsumEngine(SubSageEngine):
-    """The engine with every prefix sum of its tables taken by ``cumsum``."""
-
-    def _table(self, p):
-        coef = self._coefficients(p)
-        signed = np.concatenate((coef, -coef))
-        table = np.bincount(self._entry_at, signed[self._entry_src], self._n_slots)
-        for lo, hi, shape in self._lattices:
-            lattice = table[lo:hi].reshape(shape)
-            lattice.cumsum(axis=2, out=lattice)
-            lattice.cumsum(axis=1, out=lattice)
-        table[self._empty_slot] += self.ensemble.base_score
-        table[self._grid1 : self._grids_end] += table[self._empty_slot]
-        return table
-
-
-def test_row_by_row_prefix_sums_equal_cumsum():
-    # Depth-6 trees over 30 features: the pair lattices of k = 0 form a
-    # block of 29 lattices of 65 x 72 cells, wide enough to be summed along
-    # its rows by whole-row additions, which must add in cumsum's order.
-    rng = np.random.default_rng(8)
-    data = random_dataset(rng, 300, 30)
-    ens = random_ensemble(rng, data, 30, 6, feature_pool=range(30))
-    ens = annotate_probabilities(Ensemble(trees=ens.trees, n_features=30), data)
-    engine = SubSageEngine(ens, data, 0, LossKind.SQUARED_ERROR)
-    oracle = CumsumEngine(ens, data, 0, LossKind.SQUARED_ERROR)
-    assert any(a * c >= 2048 and b > 1 for _, _, (a, b, c) in engine._lattices)
-    weights = np.bincount(rng.integers(0, 300, 300), minlength=300).astype(float)
-    for p in (engine._p0, cell_probs(engine, weights)):
-        np.testing.assert_array_equal(engine._table(p), oracle._table(p))
-    assert engine.psi_for_weights(weights) == oracle.psi_for_weights(weights)
 
 
 def test_packed_lattices_are_disjoint_and_at_most_half_padding():

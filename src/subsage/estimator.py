@@ -96,9 +96,10 @@ def build_subset_family(m: int, k: int) -> SubsetFamily:
 
 # Trees that split on k share one rest table while the product of their
 # cut counts + 1 over features other than k stays at or below this: each
-# shared table saves a gather over every row, while its cells multiply the
-# table's size. Each such tree splits on k, so this admits every group whose
-# cells counted with k's cuts stayed within 256.
+# shared table saves a gather over every row, and the product bounds the
+# leaf sets its rows reach. The groups fix which leaves add up in one rest
+# row before the rows add up per data row, so another grouping would move
+# d^rest in the last bits.
 _REST_CELLS = 128
 
 # Float64 values per block of a draw's code or rest rows, about 1 MB: a
@@ -162,7 +163,8 @@ class SubSageEngine:
     expectation that tests only those thresholds. A row enters the loss
     difference of the empty set and of each singleton m only through its
     grid cells of k and m and its response, so it keeps one joint cell code
-    per such subset, and a cell id in each space of the rest subset. A draw
+    per such subset. For the rest subset it keeps, per group of trees that
+    split on k, the id of the leaf set it reaches with k unknown. A draw
     sums the weights and weighted responses per joint cell, reads the branch
     probabilities off their grid marginals, and sums closed-form loss gaps
     per cell; only the rest subset gathers per row.
@@ -287,11 +289,12 @@ class SubSageEngine:
             np.tile(np.array(tree.feature_set, np.intp), n) for tree, n in zip(trees, self._n_leaves)
         ])
 
-        # Rest tables share trees of tau_k while their joint cells, which
-        # only the cuts on features other than k split, stay few.
+        # Rest tables share trees of tau_k while the cut cells of their
+        # splits on features other than k stay few.
         def n_cells(group):
-            _, counts = np.unique(self._thr_feat[self._tids(group)], return_counts=True)
-            return np.prod(counts + 1.0)
+            tids = np.unique(np.concatenate([self._node_tid[t] for t in group]))
+            feats = self._thr_feat[tids[tids >= 0]]
+            return np.prod(np.unique(feats[feats != k], return_counts=True)[1] + 1.0)
 
         groups: list[list[int]] = []
         for t in tau if s > 1 else ():
@@ -299,7 +302,7 @@ class SubSageEngine:
                 groups[-1].append(t)
             else:
                 groups.append([t])
-        # Each row's cell id in each rest space, as a table index.
+        # Each row's leaf-set id in each rest table, as a table index.
         self._rest_ids = np.empty((len(groups), self.n), np.intp)
         self._n_rest = len(groups)
 
@@ -321,7 +324,7 @@ class SubSageEngine:
         # prefix sums hold k's d^{} and each singleton m's margin given x_m;
         # the empty set's margin; each pair space's (cuts_k + 1) x (cuts_m + 1)
         # lattice, whose 2-D prefix sums hold d^{m} - d^{} over the tau_k
-        # trees that use m; a slot that stays 0; then the rest spaces' cells.
+        # trees that use m; a slot that stays 0; then the rest tables' sets.
         rows = np.stack((np.ones(s + 1, np.intp), sizes + 1))
         grid0, _, self._lattices, self._grid1 = _pack(rows[:, :1], 0)
         grid1, _, blocks, self._grids_end = _pack(rows[:, 1:], self._grid1)
@@ -411,23 +414,38 @@ class SubSageEngine:
         add(base, key(t), leaf, False)
 
         # Rest tables: minus the margin of their tau_k trees given every
-        # feature but k, one entry per (cell, leaf) whose box holds the cell
-        # on each side that bounds a cell. The mask has a row per leaf, so
-        # each feature updates whole rows; a cell's entries still come in
-        # leaf order.
+        # feature but k, the sum of the leaves a row reaches when it takes
+        # both branches at each split on k. Walking each tree parents first,
+        # a row's code doubles at each split off k and adds 1 if the row
+        # reaches it and goes right. Whether a row reaches a split follows
+        # from the digits above it, so equal codes mean equal leaf sets.
+        # Codes are ranked densely whenever their bound passes the rows, and
+        # each set's slot gets one entry per leaf it holds, in leaf order.
         for row, group in enumerate(groups):
-            cell, rep = self._cells(self._tids(group))
-            np.add(cell, slot, out=self._rest_ids[row])
-            leaves = _ranges(self._leaf0[group], self._n_leaves[group])
-            box = _ranges(box0[leaves], widths[leaves])
-            col = np.repeat(np.arange(len(leaves)), widths[leaves])
-            ok = np.ones((len(leaves), cell.max() + 1), bool)
-            for f, x in rep.items():
-                at = (box_feat[box] == f) & ((lo[box] > 0) | (hi[box] < none))
-                ok[col[at]] &= (lo[box[at], None] <= x) & (x < hi[box[at], None])
-            c, cell = np.nonzero(ok)
-            add(slot + cell, key(leaf_tree[leaves[c]], k, inv=1), leaves[c], True)
-            slot += ok.shape[1]
+            code, bound, reach = np.zeros(self.n, np.intp), 1, []
+            for t in group:
+                tree = trees[t]
+                at = np.zeros((len(tree.feature), self.n), bool)
+                at[0] = True
+                for v in np.flatnonzero(tree.left >= 0).tolist():
+                    l, r, f = tree.left[v], tree.right[v], tree.feature[v]
+                    if f == k:
+                        at[l] = at[r] = at[v]
+                        continue
+                    left = data.column(f) < tree.threshold[v]
+                    at[l], at[r] = at[v] & left, at[v] & ~left
+                    if bound > self.n:
+                        code, bound = _dense_rank(code, bound)
+                    code, bound = 2 * code + at[r], 2 * bound
+                reach.append(at[tree.left < 0])
+            code, bound = _dense_rank(code, bound)
+            np.add(code, slot, out=self._rest_ids[row])
+            one = np.empty(bound, np.intp)
+            one[code] = np.arange(self.n)  # any row of a set reaches its leaves
+            c, at = np.nonzero(np.concatenate([hit[:, one] for hit in reach]))
+            leaves = _ranges(self._leaf0[group], self._n_leaves[group])[c]
+            add(slot + at, key(leaf_tree[leaves], k, inv=1), leaves, True)
+            slot += bound
         self._n_slots = slot
 
         at, keys, leaf, neg = (np.concatenate(a) for a in zip(*entries))
@@ -442,34 +460,6 @@ class SubSageEngine:
         del self._n_leaves, self._leaf0
 
     # -- build helpers -------------------------------------------------------
-
-    def _tids(self, tree_ids) -> np.ndarray:
-        """Distinct threshold ids of the given trees' splits on features
-        other than k."""
-        tids = np.unique(np.concatenate([self._node_tid[t] for t in tree_ids]))
-        tids = tids[tids >= 0]
-        return tids[self._thr_feat[tids] != self.k]
-
-    def _cells(self, tids: np.ndarray):
-        """Row cell ids in the space split by threshold ids ``tids``, in
-        ascending order of the rows' mixed-radix codes, and the grid cell of
-        each cell's first row for each split feature. Codes are ranked
-        densely whenever their bound passes the row count, so the bound
-        never exceeds rows x (cuts + 1)."""
-        code, bound = np.zeros(self.n, np.intp), 1
-        feats = np.unique(self._thr_feat[tids])
-        for f in feats:
-            if bound > self.n:
-                code, bound = _dense_rank(code, bound)
-            cuts = self._thr_rank[tids[self._thr_feat[tids] == f]]
-            # Cut cell of each grid cell: the number of cuts below it.
-            cut_of = np.searchsorted(cuts, np.arange(np.count_nonzero(self._thr_feat == f) + 1))
-            code = code * (len(cuts) + 1) + cut_of[self._iv[f]]
-            bound *= len(cuts) + 1
-        code, bound = _dense_rank(code, bound)
-        first = np.full(bound, self.n)
-        np.minimum.at(first, code, np.arange(self.n))
-        return code, {int(f): self._iv[f][first] for f in feats}
 
     def _classes(self, tree, a, b, inv):
         """Set up the leaf coefficients of the classes (tree, a, b, inv), in

@@ -1,4 +1,4 @@
-"""Sorting cell ranking, the reference for ``SubSageEngine._cells``.
+"""Sorting cell ranking of the cut-cell spaces of ``slot_engine.SlotEngine``.
 
 Each row's cell in a space is its mixed-radix code over the space's split
 features, one digit per feature: the number of the feature's cuts at or

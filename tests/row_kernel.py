@@ -11,7 +11,7 @@ column per data row and, in this order, a row of:
 - k's grid cell, which gives d^{} for the empty set and for every singleton
   whose feature shares no tree with k;
 - each pair lattice (k, m): d^{m} - d^{}, to which d^{} is added;
-- each rest space: minus the margin of its trees given every feature but
+- each rest table: minus the margin of its trees given every feature but
   k; their sum plus the prediction of the trees that split on k is d^rest.
 
 ``row_ids`` builds that matrix for the engine's own cells.

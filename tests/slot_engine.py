@@ -3,9 +3,11 @@
 ``SlotEngine`` builds its grid, pair and rest tables as the engine did
 before corner tables: one slot per cell of each space, and one entry per
 (cell, leaf) whose box holds the cell, for every (tree, known-set, sign)
-class. Terms with nothing known add to one scalar slot per space, which a
-draw adds to each of its cells. Each row keeps a slot per space, and draws
-go through the per-row kernel of ``row_kernel``.
+class. Its pair and rest spaces are cut cells, ranked by
+``cells_oracle.sorted_cells``; the engine's rest spaces are reached-leaf
+sets instead. Terms with nothing known add to one scalar slot per space,
+which a draw adds to each of its cells. Each row keeps a slot per space,
+and draws go through the per-row kernel of ``row_kernel``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from subsage.estimator import (
 )
 from subsage.tree_model import predict_margin_batch, trees_containing
 
+from cells_oracle import sorted_cells
 from row_kernel import RowKernel
 
 
@@ -161,7 +164,7 @@ class SlotEngine(RowKernel, SubSageEngine):
         # Pair tables: d^{m} - d^{} over the tau_k trees that use m.
         for row, m in enumerate(self._singles[: self._n_pairs], s + 1):
             only_m, both = frozenset((m,)), frozenset((k, m))
-            cells, rep = self._cells(self._tids(with_m[m], k, m))
+            cells, rep = sorted_cells(self, self._tids(with_m[m], k, m))
             np.add(cells, self._space(rep, [
                 (t, c, sign) for t in with_m[m] for c, sign in
                 ((both, 1.0), (only_k, -1.0), (only_m, -1.0), (empty, 1.0))
@@ -169,7 +172,7 @@ class SlotEngine(RowKernel, SubSageEngine):
         # Rest tables: minus the margin of their tau_k trees given every
         # feature but k; the draw kernel adds those trees' prediction.
         for row, group in enumerate(groups, s + 1 + self._n_pairs):
-            cells, rep = self._cells(self._tids(group))
+            cells, rep = sorted_cells(self, self._tids(group))
             np.add(cells, self._space(rep, [
                 (t, frozenset(trees[t].feature_set) - only_k, -1.0) for t in group
             ]), out=self._ids[row])

@@ -10,6 +10,7 @@ estimate that is zero up to rounding compares on the scale of its terms.
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,8 +39,8 @@ from subsage.tree_model import (
     write_model,
 )
 
-from cells_oracle import sorted_cells
 from conftest import make_depth2, make_stump, random_dataset, random_ensemble
+from reached_leaves import reached_sets, rest_groups
 from row_kernel import RowKernel, cell_codes, row_ids
 from slot_engine import SlotEngine, leaf_paths
 
@@ -179,6 +180,56 @@ def test_deltas_match_naive_loss_differences(case):
         )
     psi = sum(w * est.per_subset_deltas[s] for s, w in zip(family.subsets, family.weights))
     assert_close(est.psi_hat, psi, scale)
+
+
+def relabeled(ens, data, perm):
+    """The model and data with feature j renamed perm[j], in the trees'
+    splits and in the data columns alike."""
+    trees = tuple(
+        Tree([n if n.is_leaf else replace(n, feature=int(perm[n.feature])) for n in t.nodes_sorted()])
+        for t in ens.trees
+    )
+    at = np.argsort(perm)
+    moved = Dataset(
+        tuple(data.feature_names[j] for j in at), data.columns[at],
+        tuple(data.kinds[j] for j in at), data.response,
+    )
+    return replace(ens, trees=trees), moved
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_relabeling_features_permutes_estimates(case, seed):
+    """Symmetry: sub-SAGE of feature k equals that of perm[k] once every
+    feature j is relabeled perm[j], and each subset's delta that of the
+    relabeled subset."""
+    ens, data, k, loss = case
+    perm = np.random.default_rng(seed).permutation(ens.n_features)
+    ens2, data2 = relabeled(ens, data, perm)
+    est = subsage_estimate(annotate_probabilities(ens, data), k, data, loss)
+    est2 = subsage_estimate(annotate_probabilities(ens2, data2), int(perm[k]), data2, loss)
+    scale = loss_scale(ens, data, loss)
+    assert_close(est.psi_hat, est2.psi_hat, scale)
+    for subset, delta in est.per_subset_deltas.items():
+        assert_close(delta, est2.per_subset_deltas[frozenset(int(perm[j]) for j in subset)], scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
+def test_features_no_tree_uses_are_dummies(case):
+    """Dummy: a feature that no tree splits on has psi_hat and every
+    per-subset delta exactly 0.0, among them an added copy of column 0."""
+    ens, data, _, loss = case
+    data = Dataset(
+        (*data.feature_names, "copy"), np.vstack((data.columns, data.columns[:1])),
+        (*data.kinds, data.kinds[0]), data.response,
+    )
+    ens = annotate_probabilities(replace(ens, n_features=ens.n_features + 1), data)
+    used = set().union(*(tree.feature_set for tree in ens.trees))
+    for j in sorted(set(range(ens.n_features)) - used):
+        est = subsage_estimate(ens, j, data, loss)
+        assert est.psi_hat == 0.0
+        assert set(est.per_subset_deltas.values()) == {0.0}
 
 
 class PaddedEngine(SubSageEngine):
@@ -537,89 +588,121 @@ def test_gather_ids_stay_inside_the_table():
         assert {(loss, True, True), (loss, False, False)} <= seen
 
 
-def sorting_engine(ensemble, data, k, loss):
-    """The engine with its cells ranked by ``np.unique`` over the codes."""
+def decoded_entries(ensemble, data, k, loss):
+    """The engine, and per table entry its (tree, position among the
+    tree's leaves, class features a and b, inv, negated), read back
+    through the classes that the build sets up."""
+    seen = {}
+    classes = SubSageEngine._classes
+
+    def recording(self, tree, a, b, inv):
+        seen.update(tree=tree, a=a, b=b, inv=inv)
+        seen["first"], seen["rank"] = classes(self, tree, a, b, inv)
+        return seen["first"], seen["rank"]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SubSageEngine, "_cells", sorted_cells)
-        return SubSageEngine(ensemble, data, k, loss)
+        mp.setattr(SubSageEngine, "_classes", recording)
+        engine = SubSageEngine(ensemble, data, k, loss)
+    if not seen:
+        return engine, None
+    n_coef = len(seen["rank"])
+    at = np.argsort(seen["rank"])[engine._entry_src % n_coef]
+    c = np.searchsorted(seen["first"], at, side="right") - 1
+    decoded = np.stack((
+        seen["tree"][c], at - seen["first"][c], seen["a"][c], seen["b"][c],
+        seen["inv"][c], engine._entry_src >= n_coef,
+    ), axis=1)
+    return engine, decoded
 
 
-def assert_cells_match_sorting(ensemble, data, k, loss, seed):
-    """Cell ids, table entries and draws of the engine equal those of the
-    sorting ranking bit for bit."""
-    engine = SubSageEngine(ensemble, data, k, loss)
-    oracle = sorting_engine(ensemble, data, k, loss)
+def assert_rest_sets_match_reference(ensemble, data, k, loss):
+    """Rows share a rest id iff they reach the same leaves with k unknown
+    (``reached_leaves``), the ids of the rest rows number the table slots
+    from the one after the slot that stays 0 to the table's end without a
+    gap, and each slot holds one entry per leaf of its set, in leaf order:
+    minus the leaf's coefficient with only k unknown."""
+    engine, decoded = decoded_entries(ensemble, data, k, loss)
     if k not in engine.used_features:
         return
-    for name in ("_codes", "_rest_ids", "_cell_slots", "_entry_at", "_entry_src"):
-        np.testing.assert_array_equal(getattr(engine, name), getattr(oracle, name), strict=True)
-    n = data.n_rows
-    rng = np.random.default_rng(seed)
-    jackknife = np.ones(n)
-    jackknife[rng.integers(n)] = 0.0
-    for weights in (None, np.bincount(rng.integers(0, n, n), minlength=n).astype(float), jackknife):
-        if weights is None or weights.sum() > 0:
-            assert engine.psi_for_weights(weights) == oracle.psi_for_weights(weights)
+    groups = rest_groups(ensemble, k, estimator._REST_CELLS) if len(engine._singles) > 1 else []
+    assert engine._n_rest == len(groups)
+    slot = engine._cell_slots[2, 0] + 1  # past the slot that stays 0
+    for ids, group in zip(engine._rest_ids, groups, strict=True):
+        ref, sets = reached_sets(ensemble, data, k, group)
+        pairs = np.unique(np.stack((ids, ref)), axis=1)
+        assert pairs.shape[1] == len(sets) == len(np.unique(ids))
+        np.testing.assert_array_equal(np.unique(ids), slot + np.arange(len(sets)))
+        slot += len(sets)
+        for at, s in pairs.T:
+            expected = [(t, j, k, -1, 1, 1) for t, j in sets[s]]
+            np.testing.assert_array_equal(decoded[engine._entry_at == at], expected)
+    assert slot == engine._n_slots
 
 
 @settings(max_examples=60, deadline=None)
-@given(cases(max_depth=6), st.integers(0, 2**32 - 1))
-def test_dense_cell_ranking_equals_sorting(case, seed):
+@given(cases(max_depth=6))
+def test_dense_cell_ranking_equals_sorting(case):
+    """The engine's dense ranking of the rest rows' codes against
+    ``np.unique`` over each row's reached-leaf set."""
     ens, data, k, loss = case
-    assert_cells_match_sorting(annotate_probabilities(ens, data), data, k, loss, seed)
+    assert_rest_sets_match_reference(annotate_probabilities(ens, data), data, k, loss)
+
+
+def rest_rank_bounds(ensemble, data, k, loss) -> list[int]:
+    """The code bound at each ``_dense_rank`` call of the rest coder, which
+    ranks after the joint cells (one call for k's cells and one per
+    singleton)."""
+    bounds = []
+    dense_rank = estimator._dense_rank
+
+    def counting_rank(code, bound):
+        bounds.append(bound)
+        return dense_rank(code, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_dense_rank", counting_rank)
+        engine = SubSageEngine(ensemble, data, k, loss)
+    return bounds[len(engine._singles) + 1 :]
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_code_bound_passing_row_count_mid_space(loss):
-    # Five rows and two depth-3 trees rooted at k = 0, one splitting
-    # feature 1 at six cuts, the other features 2 and 3 at two cuts each.
-    # Their rest space leaves k's cut out; its code bound reaches 7 > 5
-    # after feature 1, and again passes 5 after feature 2, so codes are
-    # ranked before features 2 and 3 are added.
+    # Five rows and one rest group of two trees rooted at k = 0: the first
+    # splits feature 1 at three cuts below the root, the second features 2
+    # and 3 at six nodes. The code doubles at each of those nine nodes:
+    # after the first tree its bound is 8 > 5, so codes are ranked at the
+    # second tree's first node, between the trees, and since at most 5
+    # codes remain, again within four doublings, in the middle of the
+    # second tree; then once at the end.
     rng = np.random.default_rng(3)
     binary = loss is LossKind.BINARY_CROSS_ENTROPY
     data = random_dataset(rng, 5, 4, binary_response=binary)
     q = lambda f, level: float(np.quantile(data.column(f), level))
-    trees = []
-    for splits in (
-        ((2, 1, 0.25), (3, 1, 0.75), (4, 1, 0.1), (5, 1, 0.4), (6, 1, 0.6), (7, 1, 0.9)),
-        ((2, 2, 0.3), (3, 3, 0.3), (4, 2, 0.7), (5, 3, 0.7), (6, 2, 0.7), (7, 3, 0.7)),
-    ):
-        nodes = [branch(1, 0, q(0, 0.5), 2, 3)]
-        for nid, f, level in splits:
-            nodes.append(branch(nid, f, q(f, level), 2 * nid, 2 * nid + 1))
-        trees.append(Tree(nodes + [leaf(nid, float(rng.normal())) for nid in range(8, 16)]))
+    values = lambda ids: [leaf(nid, float(rng.normal())) for nid in ids]
+    first = [branch(1, 0, q(0, 0.5), 2, 3), branch(2, 1, q(1, 0.25), 4, 5),
+             branch(3, 1, q(1, 0.75), 6, 7), branch(4, 1, q(1, 0.1), 8, 9)]
+    second = [branch(1, 0, q(0, 0.5), 2, 3)] + [
+        branch(nid, f, q(f, level), 2 * nid, 2 * nid + 1)
+        for nid, f, level in ((2, 2, 0.3), (3, 2, 0.7), (4, 3, 0.3), (5, 3, 0.7),
+                              (6, 3, 0.5), (7, 3, 0.9))
+    ]
     ens = annotate_probabilities(Ensemble(
-        trees=tuple(trees), n_features=4,
+        trees=(Tree(first + values((5, 6, 7, 8, 9))), Tree(second + values(range(8, 16)))),
+        n_features=4,
         objective="binary-logistic" if binary else "regression",
     ), data)
-    ranks_per_space = []
-    dense_rank, cells = estimator._dense_rank, SubSageEngine._cells
-
-    def counting_cells(self, tids):
-        ranks_per_space.append(0)
-        # Only the ranks inside a space count, not those of the joint cells.
-        with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(estimator, "_dense_rank", counting_rank)
-            return cells(self, tids)
-
-    def counting_rank(code, bound):
-        ranks_per_space[-1] += 1
-        return dense_rank(code, bound)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SubSageEngine, "_cells", counting_cells)
-        SubSageEngine(ens, data, 0, loss)
-    assert max(ranks_per_space) == 3, ranks_per_space
-    assert_cells_match_sorting(ens, data, 0, loss, 4)
+    bounds = rest_rank_bounds(ens, data, 0, loss)
+    assert bounds[0] == 8 and len(bounds) >= 3, bounds
+    assert SubSageEngine(ens, data, 0, loss)._n_rest == 1
+    assert_rest_sets_match_reference(ens, data, 0, loss)
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_sixty_three_split_features_in_one_space(loss):
     # A complete depth-6 tree whose 63 branch nodes each split another
-    # feature at its median: the rest space, over the 62 features besides
-    # k, has 2**62 codes, and ranking whenever the bound passes the 40 rows
-    # keeps every partial code small.
+    # feature at its median: the rest code doubles at the 62 nodes off k,
+    # 2**62 codes, and ranking whenever the bound passes the 40 rows keeps
+    # every bound within twice the rows.
     rng = np.random.default_rng(63)
     binary = loss is LossKind.BINARY_CROSS_ENTROPY
     data = random_dataset(rng, 40, 63, binary_response=binary)
@@ -634,13 +717,16 @@ def test_sixty_three_split_features_in_one_space(loss):
         trees=(tree,), n_features=63,
         objective="binary-logistic" if binary else "regression",
     ), data)
-    assert_cells_match_sorting(ens, data, 0, loss, 5)
+    bounds = rest_rank_bounds(ens, data, 0, loss)
+    assert len(bounds) > 1 and max(bounds) <= 2 * 40, bounds
+    assert_rest_sets_match_reference(ens, data, 0, loss)
 
 
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_rest_space_of_trees_splitting_only_on_k(loss):
-    """Trees that split on k alone give a rest space of one cell: their
-    margin given every feature but k is the same on every row. With a cap
+    """Trees that split on k alone give a rest table of one leaf set: every
+    row reaches all their leaves, so their margin given every feature but k
+    is the same on every row. With a cap
     of one cell they form a group of their own, next to depth-2 trees whose
     leaf boxes are unbounded on one side or on a whole feature; with the
     engine's cap all share one group. Either way every per-subset delta

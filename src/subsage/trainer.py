@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, check_seed
 from .errors import InputError, NumericalError
-from .estimator import _BLOCK_FLOATS, LOSS_OBJECTIVE, LossKind
+from .estimator import LOSS_OBJECTIVE, LossKind, _blocks
 from .tree_model import Ensemble, Node, Tree, branch, leaf
 
 
@@ -157,37 +157,38 @@ _TINY = 1e-300
 
 
 @np.errstate(all="ignore")
-def _value_sums(codes, g_node, h_node, width):
-    """Per-value gradient sums, hessian sums and row counts of the columns
-    of ``codes`` (node rows x columns), as one (3, columns, width) array,
-    in one ``bincount`` each. ``h_node`` None means unit hessians, whose
-    sums are the counts."""
-    n, b = codes.shape
-    key = np.empty((n, b), dtype=np.intp)
-    np.add(codes, np.arange(0, b * width, width), out=key)
-    key = key.ravel()
-    size = b * width
-    sums = np.empty((3, b, width))
-    sums[2] = np.bincount(key, minlength=size).reshape(b, width)
-    sums[0] = np.bincount(key, np.repeat(g_node, b), size).reshape(b, width)
-    sums[1] = sums[2] if h_node is None else np.bincount(key, np.repeat(h_node, b), size).reshape(b, width)
-    return sums
-
-
-@np.errstate(all="ignore")
 def _node_sums(codes, blocks, width, idx, g, h, unit_h):
-    """Per-value sums of the node rows ``idx``, one array per column block
-    ``(lo, hi)`` of ``codes`` (rows x columns), computed as they are read,
-    and their error scale (t, A, A_h). Summed over a column's values, the
-    gradient sums lie within gamma_t * A of the exact ones and the hessian
-    sums within gamma_t * A_h: here t = len(idx), A = sum|g| and A_h = sum
-    h, or 0 under unit hessians, whose sums are exact counts."""
+    """Per-value gradient sums, hessian sums and row counts of the node rows
+    ``idx`` over every column of ``codes`` (rows x columns), as one
+    (3, columns, width) array filled by one ``bincount`` each per column
+    block ``(lo, hi)``, and their error scale (t, A, A_h). Summed over a
+    column's values, the gradient sums lie within gamma_t * A of the exact
+    ones and the hessian sums within gamma_t * A_h: here t = len(idx),
+    A = sum|g| and A_h = sum h, or 0 under unit hessians, whose sums are
+    the counts. A larger sibling's sums are the parent's minus these, with
+    the scale ``_gain_bounds`` proves for them."""
     if len(idx) < len(codes):
         codes = np.take(codes, idx, axis=0)
     g_node = g[idx]
     h_node = None if unit_h else h[idx]
-    parts = (_value_sums(codes[:, lo:hi], g_node, h_node, width) for lo, hi in blocks)
-    return parts, (len(idx), float(np.abs(g_node).sum()), 0.0 if unit_h else float(h_node.sum()))
+    sums = np.empty((3, codes.shape[1], width))
+    for lo, hi in blocks:
+        b = hi - lo
+        size = b * width
+        key = np.add(codes[:, lo:hi], np.arange(0, size, width)).ravel()
+        out = sums[:, lo:hi]
+        out[2] = np.bincount(key, minlength=size).reshape(b, width)
+        out[0] = np.bincount(key, np.repeat(g_node, b), size).reshape(b, width)
+        out[1] = out[2] if h_node is None else np.bincount(key, np.repeat(h_node, b), size).reshape(b, width)
+    return sums, (len(idx), float(np.abs(g_node).sum()), 0.0 if unit_h else float(h_node.sum()))
+
+
+@np.errstate(all="ignore")
+def _sibling_sums(sums, part):
+    """A child's per-value sums as its parent's ``sums`` minus its
+    sibling's ``part``, with the error scale ``_gain_bounds`` proves."""
+    (whole, (t, a, a_h)), (values, (_, a_s, a_hs)) = sums, part
+    return whole - values, (t + 1, a + a_s, a_h + a_hs)
 
 
 @np.errstate(all="ignore")
@@ -196,6 +197,23 @@ def _gain_bounds(sums, scale, n, lam, gamma):
     boundary of each column, from its per-value sums at a node of ``n``
     rows with error scale (t, A, A_h) as ``_node_sums`` gives; -inf where
     no cut falls, +inf where no bound is safe.
+
+    Let gamma_k = k*u / (1 - k*u). Scale (t, A, A_h) means that the
+    per-value gradient sums S_v of a column lie within e_v of the exact
+    sums, with sum_v e_v <= gamma_t * A and A at least the node's sum|g|,
+    and the hessian sums likewise with A_h. Rows summed directly give
+    t = n (``_node_sums``). A larger child's sums are its parent's minus
+    its smaller sibling's, one rounded subtraction per value. With parent
+    scale (t, A, A_h), sibling scale (t_s, A_s, A_h,s), t_s <= t, and L_v
+    the child's exact sum, |L_v| summing to at most A,
+
+        |fl(S_v - S'_v) - L_v| <= (1 + u) * (e_v + e'_v) + u * |L_v|,
+
+    which sums over v to at most (gamma_t + u * gamma_t + u) * (A + A_s)
+    <= gamma_{t+1} * (A + A_s), since gamma_k + u + u * gamma_k <=
+    gamma_{k+1} (Higham 2002, lemma 3.3). So the child's scale is
+    (t + 1, A + A_s, A_h + A_h,s), and its counts, and hessians under
+    squared loss, stay exact integers.
 
     At the boundary after value v the exact scan's gl is a sequential prefix
     sum over the node's rows in sorted order, within gamma_n * A of the
@@ -211,9 +229,9 @@ def _gain_bounds(sums, scale, n, lam, gamma):
 
     and the rounding of the gain formula adds at most ``_ROUNDING`` times
     the sum of its terms. eg and eh are doubled to cover the rounding of
-    A and of themselves. A non-positive denominator, a non-finite term or
-    one near overflow leaves the boundary unbounded (+inf), so its column
-    is scanned exactly.
+    A, of A + A_s and of themselves. A non-positive denominator, a
+    non-finite term or one near overflow leaves the boundary unbounded
+    (+inf), so its column is scanned exactly.
     """
     t, abs_g, abs_h = scale
     gl, hl, cl = np.cumsum(sums, axis=2)
@@ -242,14 +260,17 @@ def _gain_bounds(sums, scale, n, lam, gamma):
     return np.where((cl > 0) & (cl < n), bound, -np.inf)
 
 
-def _tied_bounds(sums, blocks, idx, lam, gamma):
+def _tied_bounds(sums, idx, lam, gamma):
     """Per screened column, an upper bound on ``_best_split``'s gain on
-    the node rows ``idx``, from the node's sums."""
-    parts, scale = sums
-    out = np.empty(blocks[-1][1])
-    for (lo, hi), part in zip(blocks, parts):
-        out[lo:hi] = _gain_bounds(part, scale, len(idx), lam, gamma).max(axis=1)
-    return out
+    the node rows ``idx``, from the node's sums and their scale: one
+    ``_gain_bounds`` call per block of columns that ``_blocks`` sizes by
+    the value count, which is one call for all columns unless columns x
+    values passes ``_BLOCK_FLOATS``."""
+    values, scale = sums
+    return np.concatenate([
+        _gain_bounds(values[:, lo:hi], scale, len(idx), lam, gamma).max(axis=1)
+        for lo, hi in _blocks(values.shape[1], values.shape[2])
+    ])
 
 
 class _Columns(NamedTuple):
@@ -273,33 +294,46 @@ class _Columns(NamedTuple):
 
 
 def _encode(cols: np.ndarray) -> _Columns:
-    """Sort every column once: code the columns to screen in the smallest
-    unsigned dtype that fits, and keep the sorted rows of the others."""
+    """Sort every column once, a block of about ``_BLOCK_FLOATS`` values at
+    a time: code the columns to screen in the smallest unsigned dtype that
+    fits, and keep the sorted rows of the others."""
     n = cols.shape[1]
-    presorted = np.argsort(cols, axis=1, kind="stable")
-    # Every subset of a column without ties has none either; -0.0 ties 0.0.
-    steps = [x[:-1] < x[1:] for x in map(np.take, cols, presorted)]
-    n_values = np.array([int(s.sum()) + 1 for s in steps])
-    distinct = n_values == n
     # A node bounds each screened column at every one of its values, so a
     # column with many values costs more to bound than to scan. Timed fits
     # of 40 such columns (BENCH_18.json) put the crossover at about 8 sqrt(n)
     # values for n = 1000 and 12-16 sqrt(n) for n = 4000 to 32000, so a
     # column with more than 8 sqrt(n) keeps its presorted rows and the
     # exact scan.
-    screened = ~distinct & (n_values <= 8.0 * math.sqrt(n))
+    cap = 8.0 * math.sqrt(n)
+    # Codes are at most cap - 1, so this dtype holds them until the widest
+    # coded column is known.
+    wide = np.min_scalar_type(int(cap) - 1)
+    n_values = np.empty(len(cols), dtype=int)
+    # The empty list keeps the concatenation defined when there is no column.
+    kept, coded_blocks = [np.empty((0, n), dtype=np.intp)], []
+    for lo, hi in _blocks(len(cols), n):
+        order = np.argsort(cols[lo:hi], axis=1, kind="stable")
+        # Every subset of a column without ties has none either; -0.0 ties 0.0.
+        xs = np.take_along_axis(cols[lo:hi], order, axis=1)
+        steps = xs[:, :-1] < xs[:, 1:]
+        n_values[lo:hi] = steps.sum(axis=1) + 1
+        screen = (n_values[lo:hi] < n) & (n_values[lo:hi] <= cap)
+        kept.append(order[~screen])
+        if screen.any():
+            ranks = np.zeros((int(screen.sum()), n), dtype=wide)
+            np.cumsum(steps[screen], axis=1, dtype=wide, out=ranks[:, 1:])
+            block = np.empty_like(ranks)
+            np.put_along_axis(block, order[screen], ranks, axis=1)
+            coded_blocks.append(block)
+    distinct = n_values == n
+    screened = ~distinct & (n_values <= cap)
     coded = np.flatnonzero(screened)
     dtype = np.min_scalar_type(int(n_values[coded].max()) - 1) if len(coded) else np.uint8
-    codes = np.empty((n, len(coded)), dtype)
-    for t, j in enumerate(coded):
-        codes[presorted[j, 0], t] = 0
-        codes[presorted[j, 1:], t] = np.cumsum(steps[j], dtype=dtype)
+    codes = np.ascontiguousarray(np.concatenate(coded_blocks).T, dtype) if coded_blocks else np.empty((n, 0), dtype)
     slot = np.empty(len(cols), dtype=np.intp)
     slot[~screened] = np.arange(len(cols) - len(coded))
     slot[coded] = np.arange(len(coded))
-    if len(coded):
-        presorted = presorted[~screened]
-    return _Columns(cols, distinct, screened, slot, presorted, codes, n_values[coded])
+    return _Columns(cols, distinct, screened, slot, np.concatenate(kept), codes, n_values[coded])
 
 
 # Under logistic loss with reg_lambda 0 a saturated sigmoid leaves hessian
@@ -315,43 +349,46 @@ def _grow_tree(
 ) -> Tree:
     """Grow one tree on the ascending ``rows`` over ``features``.
 
-    A node scans every drawn column that is not screened exactly. Of each
-    of its parent's sorted lists it keeps the rows inside it, so it scans
-    them in the order a stable argsort would give. It then bounds each
-    drawn screened column from per-value sums and scans exactly, in bound
-    order, every one whose bound is not below the best gain found so far;
-    such a scan stably sorts the column's codes over the node's ascending
-    rows, which is the same order. Any column it skips gains less than the
-    split taken.
+    A node scans every drawn column that is not screened exactly, down its
+    sorted lists: the root keeps the rows of ``rows`` from each presorted
+    list, and a node whose children will search splits each of its lists
+    in two with one gather of the split side, so every node scans its rows
+    in the order a stable argsort would give. It then bounds each drawn
+    screened column from per-value sums and scans exactly, in bound order,
+    every one whose bound is not below the best gain found so far; such a
+    scan stably sorts the column's codes over the node's ascending rows,
+    which is the same order. Any column it skips gains less than the split
+    taken. The root sums its own rows. When the larger child will search,
+    the smaller one sums its rows and the larger takes the node's sums
+    minus the smaller's, with the error scale ``_gain_bounds`` gives for it.
     """
     columns = enc.values
     nodes: list[Node] = []
-    inside = np.zeros(columns.shape[1], dtype=bool)
-    inside[rows] = True
     # Under squared loss every hessian is 1, so every feature's hessian
     # prefix is 1..n, exact in float64, and its per-cut Newton denominators
     # are shared by the whole node.
     unit_h = bool((h == 1.0).all())
     listed = features[~enc.screened[features]]
     screened = features[enc.screened[features]]
+    # Lists are never written in place, so the root reads ``presorted``
+    # itself when every such feature and every row is drawn.
     lists = enc.presorted if len(listed) == len(enc.presorted) else enc.presorted[enc.slot[listed]]
+    if len(rows) < columns.shape[1]:
+        # Each list holds every row once, so each keeps exactly len(rows)
+        # entries and one compress filters all.
+        inside = np.zeros(columns.shape[1], dtype=bool)
+        inside[rows] = True
+        lists = np.compress(np.take(inside, lists).ravel(), lists).reshape(len(listed), len(rows))
     codes = enc.codes if len(screened) == enc.codes.shape[1] else enc.codes[:, enc.slot[screened]]
     if len(screened):
         width = int(enc.n_values[enc.slot[screened]].max())
-        per = max(1, _BLOCK_FLOATS // max(len(rows), width))
-        blocks = [(lo, min(lo + per, len(screened))) for lo in range(0, len(screened), per)]
-    # Nodes to grow: (id, rows, parent's sorted lists as one features x rows
-    # array, rows-inside mask, depth). Lists are never written in place, so
-    # the root reads ``presorted`` itself when every such feature is drawn.
-    stack = [(1, rows, lists, inside, 0)]
+        blocks = _blocks(len(screened), max(len(rows), width))
+    # Nodes to grow: (id, rows, sorted lists as one features x rows array,
+    # per-value sums or None to sum the rows, depth).
+    stack = [(1, rows, lists, None, 0)]
     while stack:
-        node_id, idx, lists, inside, depth = stack.pop()
+        node_id, idx, lists, sums, depth = stack.pop()
         if depth < cfg.max_depth and len(idx) >= 2:
-            if lists.shape[1] > len(idx):
-                # Each parent list holds every row of the node once, so each
-                # keeps exactly len(idx) entries and one compress filters all.
-                lists = np.compress(np.take(inside, lists).ravel(), lists)
-                lists = lists.reshape(len(listed), len(idx))
             lam, den = cfg.reg_lambda, None
             if unit_h:
                 hs = np.arange(1.0, len(idx) + 1.0)
@@ -375,8 +412,9 @@ def _grow_tree(
                 for f, order in zip(listed, lists):
                     scan(f, order, enc.distinct[f])
                 if len(screened):
-                    sums = _node_sums(codes, blocks, width, idx, g, h, unit_h)
-                    bounds = _tied_bounds(sums, blocks, idx, lam, cfg.min_gain)
+                    if sums is None:
+                        sums = _node_sums(codes, blocks, width, idx, g, h, unit_h)
+                    bounds = _tied_bounds(sums, idx, lam, cfg.min_gain)
                     for j in np.argsort(-bounds, kind="stable"):
                         # Every later bound is lower still; a gain must be > 0.
                         if bounds[j] < (0.0 if best is None else best[0]):
@@ -391,8 +429,20 @@ def _grow_tree(
                 nodes.append(branch(node_id, f, t, 2 * node_id, 2 * node_id + 1))
                 go_left = columns[f] < t
                 left = go_left[idx]
-                stack.append((2 * node_id + 1, idx[~left], lists, ~go_left, depth + 1))
-                stack.append((2 * node_id, idx[left], lists, go_left, depth + 1))
+                kids = [idx[left], idx[~left]]
+                kid_lists, kid_sums = [None, None], [None, None]
+                if depth + 1 < cfg.max_depth:
+                    side = np.take(go_left, lists).ravel()
+                    kid_lists = [
+                        np.compress(side, lists).reshape(len(listed), len(kids[0])),
+                        np.compress(~side, lists).reshape(len(listed), len(kids[1])),
+                    ]
+                    if len(screened) and max(len(kids[0]), len(kids[1])) >= 2:
+                        small = int(len(kids[1]) < len(kids[0]))
+                        kid_sums[small] = _node_sums(codes, blocks, width, kids[small], g, h, unit_h)
+                        kid_sums[1 - small] = _sibling_sums(sums, kid_sums[small])
+                stack.append((2 * node_id + 1, kids[1], kid_lists[1], kid_sums[1], depth + 1))
+                stack.append((2 * node_id, kids[0], kid_lists[0], kid_sums[0], depth + 1))
                 continue
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())

@@ -233,3 +233,8 @@ class TestDeterminismAndStructure:
         b = Dataset(("p", "q", "r"), cols, (FeatureKind.CONTINUOUS,) * 3, rng.normal(size=30))
         with pytest.raises(InputError, match="schemas differ"):
             train(a, b, TrainConfig())
+
+    def test_no_feature_column_is_input_error(self):
+        data = _dataset(np.empty((0, 6)), np.arange(6.0))
+        with pytest.raises(InputError, match="n_features must be at least 1, got 0"):
+            train(data, data, TrainConfig(max_rounds=2))

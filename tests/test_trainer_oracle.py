@@ -228,9 +228,9 @@ def test_presorted_trainer_writes_oracle_bytes(case):
     def node(idx):
         return rounds[-1][3].setdefault(idx.tobytes(), (idx, {}))[1]
 
-    def record_bound(sums, blocks, idx, *args):
+    def record_bound(sums, idx, *args):
         node(idx)
-        return bound(sums, blocks, idx, *args)
+        return bound(sums, idx, *args)
 
     # The trainer scans row views of the training columns; a scan of any
     # other array has no feature index and fails here.
@@ -352,6 +352,37 @@ def test_snp_fit_model_bytes_pinned(loss):
     assert digest == GOLDEN_SNP_MODEL_SHA256[loss]
 
 
+# sha256 of the model file of a mid-size logistic fit: 3000 rows of 30
+# normal and 30 0/1/2 columns. Its hessians are inexact floats, and its
+# depth-1 nodes hold hundreds to thousands of rows, beyond the sizes the
+# property tests draw. Like the pins above, it follows numpy's generators.
+GOLDEN_LOGISTIC_MODEL_SHA256 = "5b9781ba9e2756f0a697a98a9485105b6ed9ea320500d3cabc2bea1bdea69d25"
+
+
+def test_mid_size_logistic_fit_model_bytes_pinned():
+    rng = np.random.default_rng(3000)
+
+    def data(n):
+        cols = np.concatenate([rng.normal(size=(30, n)), rng.integers(0, 3, size=(30, n)).astype(float)])
+        signal = cols[0] - cols[30] + 0.5 * cols[5] * cols[41]
+        y = (signal + rng.normal(size=n) > 0.0).astype(float)
+        names = tuple(f"x{j}" for j in range(len(cols)))
+        return Dataset(names, cols, (FeatureKind.CONTINUOUS,) * len(cols), y)
+
+    train_data, valid_data = data(3000), data(500)
+    cfg = TrainConfig(
+        learning_rate=0.3,
+        max_depth=2,
+        subsample=0.7,
+        colsample=0.8,
+        max_rounds=20,
+        loss=LossKind.BINARY_CROSS_ENTROPY,
+        seed=9,
+    )
+    digest = hashlib.sha256(model_bytes(train(train_data, valid_data, cfg))).hexdigest()
+    assert digest == GOLDEN_LOGISTIC_MODEL_SHA256
+
+
 def attack_gradients(rng, n):
     """Gradients of magnitudes 1e-8 to 1e8, half of them the negatives of
     the other half, so that |sum g| is far below sum |g| on most subsets."""
@@ -385,22 +416,32 @@ def tied_scans(draw):
 def test_tied_bound_covers_every_cut(scan, lam, gamma):
     """At every cut of a column with ties, the bound at that value is at
     least the gain ``_best_split`` computes there, and the column's bound
-    is at least the gain it returns, on a node and on each of its children."""
+    is at least the gain it returns: on a node from its own rows, and on
+    each of its children both from the child's own rows and as the node's
+    sums minus its sibling's, with the wider error scale of a difference."""
     x, g, h, idx, left = scan
     enc = trainer._encode(x[None])
     codes, width, blocks = enc.codes, int(enc.n_values[0]), [(0, 1)]
     unit_h = bool((h == 1.0).all())
-    for rows in (idx, idx[left], idx[~left]):
+
+    def node_sums(rows):
+        return trainer._node_sums(codes, blocks, width, rows, g, h, unit_h)
+
+    parent = node_sums(idx)
+    cases = [(idx, parent)]
+    for rows, sibling in ((idx[left], idx[~left]), (idx[~left], idx[left])):
+        if len(rows) >= 2:
+            cases.append((rows, node_sums(rows)))
+            cases.append((rows, trainer._sibling_sums(parent, node_sums(sibling))))
+    for rows, sums in cases:
         if len(rows) < 2:
             continue
-        parts, scale = trainer._node_sums(codes, blocks, width, rows, g, h, unit_h)
-        sums = (list(parts), scale)
         order = rows[np.argsort(x[rows], kind="stable")]
         gs, hs = np.cumsum(g[order]), np.cumsum(h[order])
         found = trainer._best_split(x, order, gs, hs, lam, gamma, False)
-        column_bound = trainer._tied_bounds(sums, blocks, rows, lam, gamma)[0]
+        column_bound = trainer._tied_bounds(sums, rows, lam, gamma)[0]
         assert found is None or column_bound >= found[0]
-        bounds = trainer._gain_bounds(sums[0][0], sums[1], len(rows), lam, gamma)[0]
+        bounds = trainer._gain_bounds(sums[0], sums[1], len(rows), lam, gamma)[0]
         xs = x[order]
         cut = np.flatnonzero(xs[:-1] < xs[1:])
         dl, dr = hs[cut] + lam, (hs[-1] - hs[cut]) + lam
@@ -577,6 +618,56 @@ def test_mixed_distinct_and_tied_columns_write_oracle_bytes(loss, reg_lambda, se
     assert flags and all(distinct == no_ties[j] for j, distinct in flags)
 
 
+def oracle_encode(cols):
+    """``trainer._encode`` as one argsort of every column and a loop over
+    the columns: the reference for its blocked 2-D sort and coding."""
+    n = cols.shape[1]
+    presorted = np.argsort(cols, axis=1, kind="stable")
+    steps = [x[:-1] < x[1:] for x in map(np.take, cols, presorted)]
+    n_values = np.array([int(s.sum()) + 1 for s in steps])
+    distinct = n_values == n
+    screened = ~distinct & (n_values <= 8.0 * np.sqrt(n))
+    coded = np.flatnonzero(screened)
+    dtype = np.min_scalar_type(int(n_values[coded].max()) - 1) if len(coded) else np.uint8
+    codes = np.empty((n, len(coded)), dtype)
+    for t, j in enumerate(coded):
+        codes[presorted[j, 0], t] = 0
+        codes[presorted[j, 1:], t] = np.cumsum(steps[j], dtype=dtype)
+    slot = np.empty(len(cols), dtype=np.intp)
+    slot[~screened] = np.arange(len(cols) - len(coded))
+    slot[coded] = np.arange(len(coded))
+    if len(coded):
+        presorted = presorted[~screened]
+    return trainer._Columns(cols, distinct, screened, slot, presorted, codes, n_values[coded])
+
+
+@pytest.mark.parametrize("shape", ["snp", "mixed", "many_values", "no_ties", "one_row"])
+def test_blocked_encode_equals_column_loop(shape):
+    """Sorting and coding in column blocks gives every field of the
+    per-column loop, with the same dtype, on data that spans several
+    blocks: 0/1/2 columns, columns with and without ties (signed zeros,
+    many-valued, constant), codes past 255, and a single row."""
+    rng = np.random.default_rng(7)
+    if shape == "snp":
+        cols = rng.integers(0, 3, size=(700, 400)).astype(float)
+    elif shape == "mixed":
+        kinds = ["tied", "constant", "binary", "ternary", "normal"] * 20
+        cols = np.concatenate([dataset(rng, kinds, 3000, LossKind.SQUARED_ERROR).columns, mixed_columns(rng, 3000)])
+    elif shape == "many_values":
+        cols = rng.integers(0, 500, size=(90, 5000)).astype(float)
+    elif shape == "no_ties":
+        cols = rng.normal(size=(60, 4000))
+    else:
+        cols = rng.normal(size=(5, 1))
+    expected, found = oracle_encode(cols), trainer._encode(cols)
+    assert len(trainer._blocks(len(cols), cols.shape[1])) > 1 or shape == "one_row"
+    for field, want, got in zip(expected._fields, expected, found):
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        np.testing.assert_array_equal(got, want, err_msg=field)
+    if shape == "many_values":
+        assert found.codes.dtype == np.uint16
+
+
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_many_valued_tied_column_keeps_exact_scan(loss):
     """A column with ties but more than 8 sqrt(n) values is not
@@ -617,3 +708,37 @@ def test_many_valued_tied_column_keeps_exact_scan(loss):
         mp.setattr(trainer, "_tied_bounds", record_bound)
         assert model_bytes(train(train_data, valid_data, cfg)) == expected
     assert searches and len(scans) == len(searches) and not any(scans)
+
+
+@pytest.mark.parametrize("loss", list(LossKind))
+def test_depth_two_tree_sums_root_and_smaller_child_rows(loss):
+    """A depth-2 tree sums the per-value sums of its root's rows and of its
+    smaller child's rows only; the larger child takes the root's sums minus
+    the smaller's. Model bytes are the oracle's."""
+    rng = np.random.default_rng(17)
+    kinds = ["normal", "ternary", "binary", "tied", "ternary", "normal"]
+    train_data = dataset(rng, kinds, 400, loss)
+    valid_data = dataset(rng, kinds, 100, loss)
+    cfg = TrainConfig(
+        learning_rate=0.3, max_depth=2, subsample=0.8, colsample=0.7, max_rounds=12, loss=loss, seed=4,
+    )
+    expected = oracle_bytes(train_data, valid_data, cfg)
+    trees = []
+    grow, sums = trainer._grow_tree, trainer._node_sums
+
+    def record_tree(enc, rows, *args):
+        trees.append((len(rows), []))
+        return grow(enc, rows, *args)
+
+    def record_sums(codes, blocks, width, idx, *args):
+        trees[-1][1].append(len(idx))
+        return sums(codes, blocks, width, idx, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "_grow_tree", record_tree)
+        mp.setattr(trainer, "_node_sums", record_sums)
+        assert model_bytes(train(train_data, valid_data, cfg)) == expected
+    assert sum(len(summed) == 2 for _, summed in trees) >= len(trees) // 2
+    for n, summed in trees:
+        assert summed[:1] in ([], [n]) and len(summed) <= 2
+        assert sum(summed) <= n + n // 2

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Dataset, check_seed
 from .errors import InputError, NumericalError
-from .estimator import LOSS_OBJECTIVE, LossKind, _blocks
+from .estimator import _BLOCK_FLOATS, LOSS_OBJECTIVE, LossKind, _blocks
 from .tree_model import Ensemble, Node, Tree, branch, leaf
 
 
@@ -157,30 +157,61 @@ _TINY = 1e-300
 
 
 @np.errstate(all="ignore")
-def _node_sums(codes, blocks, width, idx, g, h, unit_h):
+def _value_sums(codes, g_node, h_node, width):
+    """Per-value gradient sums, hessian sums and row counts of the columns
+    of ``codes`` (node rows x columns), as one (3, columns, width) array,
+    in one ``bincount`` each. ``h_node`` None means unit hessians, whose
+    sums are the counts."""
+    n, b = codes.shape
+    key = np.empty((n, b), dtype=np.intp)
+    np.add(codes, np.arange(0, b * width, width), out=key)
+    key = key.ravel()
+    size = b * width
+    sums = np.empty((3, b, width))
+    sums[2] = np.bincount(key, minlength=size).reshape(b, width)
+    sums[0] = np.bincount(key, np.repeat(g_node, b), size).reshape(b, width)
+    sums[1] = sums[2] if h_node is None else np.bincount(key, np.repeat(h_node, b), size).reshape(b, width)
+    return sums
+
+
+def _value_groups(n_values):
+    """Runs (lo, hi, width) of the ascending value counts ``n_values``, each
+    as long as fits ``_BLOCK_FLOATS`` values at its widest count ``width``,
+    so that a node's per-value sums pad every column only to its run's."""
+    groups, lo = [], 0
+    while lo < len(n_values):
+        # k columns from lo take k * n_values[lo + k - 1] values, which
+        # grows with k.
+        size = np.arange(1, len(n_values) - lo + 1) * n_values[lo:]
+        hi = lo + max(1, int(np.count_nonzero(size <= _BLOCK_FLOATS)))
+        groups.append((lo, hi, int(n_values[hi - 1])))
+        lo = hi
+    return groups
+
+
+@np.errstate(all="ignore")
+def _node_sums(codes, groups, idx, g, h, unit_h):
     """Per-value gradient sums, hessian sums and row counts of the node rows
     ``idx`` over every column of ``codes`` (rows x columns), as one
-    (3, columns, width) array filled by one ``bincount`` each per column
-    block ``(lo, hi)``, and their error scale (t, A, A_h). Summed over a
-    column's values, the gradient sums lie within gamma_t * A of the exact
-    ones and the hessian sums within gamma_t * A_h: here t = len(idx),
-    A = sum|g| and A_h = sum h, or 0 under unit hessians, whose sums are
-    the counts. A larger sibling's sums are the parent's minus these, with
-    the scale ``_gain_bounds`` proves for them."""
+    (3, columns, width) array per group ``(lo, hi, width)`` of
+    ``_value_groups``, filled by ``_value_sums`` a block of about
+    ``_BLOCK_FLOATS`` codes at a time, and their error scale (t, A, A_h).
+    Summed over a column's values, the gradient sums lie within gamma_t * A
+    of the exact ones and the hessian sums within gamma_t * A_h: here
+    t = len(idx), A = sum|g| and A_h = sum h, or 0 under unit hessians,
+    whose sums are the counts. A larger sibling's sums are the parent's
+    minus these, with the scale ``_gain_bounds`` proves for them."""
     if len(idx) < len(codes):
         codes = np.take(codes, idx, axis=0)
     g_node = g[idx]
     h_node = None if unit_h else h[idx]
-    sums = np.empty((3, codes.shape[1], width))
-    for lo, hi in blocks:
-        b = hi - lo
-        size = b * width
-        key = np.add(codes[:, lo:hi], np.arange(0, size, width)).ravel()
-        out = sums[:, lo:hi]
-        out[2] = np.bincount(key, minlength=size).reshape(b, width)
-        out[0] = np.bincount(key, np.repeat(g_node, b), size).reshape(b, width)
-        out[1] = out[2] if h_node is None else np.bincount(key, np.repeat(h_node, b), size).reshape(b, width)
-    return sums, (len(idx), float(np.abs(g_node).sum()), 0.0 if unit_h else float(h_node.sum()))
+    parts = []
+    for lo, hi, width in groups:
+        part = np.empty((3, hi - lo, width))
+        for a, b in _blocks(hi - lo, max(len(idx), 1)):
+            part[:, a:b] = _value_sums(codes[:, lo + a : lo + b], g_node, h_node, width)
+        parts.append(part)
+    return parts, (len(idx), float(np.abs(g_node).sum()), 0.0 if unit_h else float(h_node.sum()))
 
 
 @np.errstate(all="ignore")
@@ -188,7 +219,7 @@ def _sibling_sums(sums, part):
     """A child's per-value sums as its parent's ``sums`` minus its
     sibling's ``part``, with the error scale ``_gain_bounds`` proves."""
     (whole, (t, a, a_h)), (values, (_, a_s, a_hs)) = sums, part
-    return whole - values, (t + 1, a + a_s, a_h + a_hs)
+    return [w - v for w, v in zip(whole, values)], (t + 1, a + a_s, a_h + a_hs)
 
 
 @np.errstate(all="ignore")
@@ -263,14 +294,9 @@ def _gain_bounds(sums, scale, n, lam, gamma):
 def _tied_bounds(sums, idx, lam, gamma):
     """Per screened column, an upper bound on ``_best_split``'s gain on
     the node rows ``idx``, from the node's sums and their scale: one
-    ``_gain_bounds`` call per block of columns that ``_blocks`` sizes by
-    the value count, which is one call for all columns unless columns x
-    values passes ``_BLOCK_FLOATS``."""
-    values, scale = sums
-    return np.concatenate([
-        _gain_bounds(values[:, lo:hi], scale, len(idx), lam, gamma).max(axis=1)
-        for lo, hi in _blocks(values.shape[1], values.shape[2])
-    ])
+    ``_gain_bounds`` call per group of ``_value_groups``."""
+    parts, scale = sums
+    return np.concatenate([_gain_bounds(part, scale, len(idx), lam, gamma).max(axis=1) for part in parts])
 
 
 class _Columns(NamedTuple):
@@ -281,7 +307,8 @@ class _Columns(NamedTuple):
     stable argsort of each column not screened) or else its column in
     ``codes``, which numbers each row of a screened column by the rank of
     its value among the column's ``n_values`` distinct values. ``codes`` is
-    rows x columns, so a node gathers whole rows.
+    rows x columns, so a node gathers whole rows, and its columns ascend by
+    value count.
     """
 
     values: np.ndarray
@@ -294,46 +321,36 @@ class _Columns(NamedTuple):
 
 
 def _encode(cols: np.ndarray) -> _Columns:
-    """Sort every column once, a block of about ``_BLOCK_FLOATS`` values at
-    a time: code the columns to screen in the smallest unsigned dtype that
-    fits, and keep the sorted rows of the others."""
+    """Sort every column once: code the columns to screen in the smallest
+    unsigned dtype that fits, and keep the sorted rows of the others."""
     n = cols.shape[1]
+    presorted = np.argsort(cols, axis=1, kind="stable")
+    # Every subset of a column without ties has none either; -0.0 ties 0.0.
+    steps = [x[:-1] < x[1:] for x in map(np.take, cols, presorted)]
+    n_values = np.array([int(s.sum()) + 1 for s in steps])
+    distinct = n_values == n
     # A node bounds each screened column at every one of its values, so a
     # column with many values costs more to bound than to scan. Timed fits
     # of 40 such columns (BENCH_18.json) put the crossover at about 8 sqrt(n)
     # values for n = 1000 and 12-16 sqrt(n) for n = 4000 to 32000, so a
     # column with more than 8 sqrt(n) keeps its presorted rows and the
     # exact scan.
-    cap = 8.0 * math.sqrt(n)
-    # Codes are at most cap - 1, so this dtype holds them until the widest
-    # coded column is known.
-    wide = np.min_scalar_type(int(cap) - 1)
-    n_values = np.empty(len(cols), dtype=int)
-    # The empty list keeps the concatenation defined when there is no column.
-    kept, coded_blocks = [np.empty((0, n), dtype=np.intp)], []
-    for lo, hi in _blocks(len(cols), n):
-        order = np.argsort(cols[lo:hi], axis=1, kind="stable")
-        # Every subset of a column without ties has none either; -0.0 ties 0.0.
-        xs = np.take_along_axis(cols[lo:hi], order, axis=1)
-        steps = xs[:, :-1] < xs[:, 1:]
-        n_values[lo:hi] = steps.sum(axis=1) + 1
-        screen = (n_values[lo:hi] < n) & (n_values[lo:hi] <= cap)
-        kept.append(order[~screen])
-        if screen.any():
-            ranks = np.zeros((int(screen.sum()), n), dtype=wide)
-            np.cumsum(steps[screen], axis=1, dtype=wide, out=ranks[:, 1:])
-            block = np.empty_like(ranks)
-            np.put_along_axis(block, order[screen], ranks, axis=1)
-            coded_blocks.append(block)
-    distinct = n_values == n
-    screened = ~distinct & (n_values <= cap)
+    screened = ~distinct & (n_values <= 8.0 * math.sqrt(n))
+    # Codes ascend by value count, so that a node's sums pad each column
+    # only to about its own count (``_value_groups``).
     coded = np.flatnonzero(screened)
+    coded = coded[np.argsort(n_values[coded], kind="stable")]
     dtype = np.min_scalar_type(int(n_values[coded].max()) - 1) if len(coded) else np.uint8
-    codes = np.ascontiguousarray(np.concatenate(coded_blocks).T, dtype) if coded_blocks else np.empty((n, 0), dtype)
+    codes = np.empty((n, len(coded)), dtype)
+    for t, j in enumerate(coded):
+        codes[presorted[j, 0], t] = 0
+        codes[presorted[j, 1:], t] = np.cumsum(steps[j], dtype=dtype)
     slot = np.empty(len(cols), dtype=np.intp)
     slot[~screened] = np.arange(len(cols) - len(coded))
     slot[coded] = np.arange(len(coded))
-    return _Columns(cols, distinct, screened, slot, np.concatenate(kept), codes, n_values[coded])
+    if len(coded):
+        presorted = presorted[~screened]
+    return _Columns(cols, distinct, screened, slot, presorted, codes, n_values[coded])
 
 
 # Under logistic loss with reg_lambda 0 a saturated sigmoid leaves hessian
@@ -370,6 +387,8 @@ def _grow_tree(
     unit_h = bool((h == 1.0).all())
     listed = features[~enc.screened[features]]
     screened = features[enc.screened[features]]
+    # In code column order, which ascends by value count.
+    screened = screened[np.argsort(enc.slot[screened])]
     # Lists are never written in place, so the root reads ``presorted``
     # itself when every such feature and every row is drawn.
     lists = enc.presorted if len(listed) == len(enc.presorted) else enc.presorted[enc.slot[listed]]
@@ -380,9 +399,7 @@ def _grow_tree(
         inside[rows] = True
         lists = np.compress(np.take(inside, lists).ravel(), lists).reshape(len(listed), len(rows))
     codes = enc.codes if len(screened) == enc.codes.shape[1] else enc.codes[:, enc.slot[screened]]
-    if len(screened):
-        width = int(enc.n_values[enc.slot[screened]].max())
-        blocks = _blocks(len(screened), max(len(rows), width))
+    groups = _value_groups(enc.n_values[enc.slot[screened]])
     # Nodes to grow: (id, rows, sorted lists as one features x rows array,
     # per-value sums or None to sum the rows, depth).
     stack = [(1, rows, lists, None, 0)]
@@ -413,7 +430,7 @@ def _grow_tree(
                     scan(f, order, enc.distinct[f])
                 if len(screened):
                     if sums is None:
-                        sums = _node_sums(codes, blocks, width, idx, g, h, unit_h)
+                        sums = _node_sums(codes, groups, idx, g, h, unit_h)
                     bounds = _tied_bounds(sums, idx, lam, cfg.min_gain)
                     for j in np.argsort(-bounds, kind="stable"):
                         # Every later bound is lower still; a gain must be > 0.
@@ -439,7 +456,7 @@ def _grow_tree(
                     ]
                     if len(screened) and max(len(kids[0]), len(kids[1])) >= 2:
                         small = int(len(kids[1]) < len(kids[0]))
-                        kid_sums[small] = _node_sums(codes, blocks, width, kids[small], g, h, unit_h)
+                        kid_sums[small] = _node_sums(codes, groups, kids[small], g, h, unit_h)
                         kid_sums[1 - small] = _sibling_sums(sums, kid_sums[small])
                 stack.append((2 * node_id + 1, kids[1], kid_lists[1], kid_sums[1], depth + 1))
                 stack.append((2 * node_id, kids[0], kid_lists[0], kid_sums[0], depth + 1))
@@ -464,6 +481,8 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
     """
     if train_data.feature_names != valid_data.feature_names:
         raise InputError("train/valid schemas differ")
+    if train_data.n_rows == 0:
+        raise InputError("training data has no rows")
     y = train_data.response
     if cfg.loss is LossKind.BINARY_CROSS_ENTROPY:
         for name, resp in (("train", y), ("valid", valid_data.response)):

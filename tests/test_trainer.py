@@ -238,3 +238,8 @@ class TestDeterminismAndStructure:
         data = _dataset(np.empty((0, 6)), np.arange(6.0))
         with pytest.raises(InputError, match="n_features must be at least 1, got 0"):
             train(data, data, TrainConfig(max_rounds=2))
+
+    def test_no_row_is_input_error(self):
+        data = _dataset(np.empty((3, 0)), np.empty(0))
+        with pytest.raises(InputError, match="training data has no rows"):
+            train(data, data, TrainConfig(max_rounds=2))

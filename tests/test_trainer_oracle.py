@@ -421,11 +421,11 @@ def test_tied_bound_covers_every_cut(scan, lam, gamma):
     sums minus its sibling's, with the wider error scale of a difference."""
     x, g, h, idx, left = scan
     enc = trainer._encode(x[None])
-    codes, width, blocks = enc.codes, int(enc.n_values[0]), [(0, 1)]
+    codes, groups = enc.codes, [(0, 1, int(enc.n_values[0]))]
     unit_h = bool((h == 1.0).all())
 
     def node_sums(rows):
-        return trainer._node_sums(codes, blocks, width, rows, g, h, unit_h)
+        return trainer._node_sums(codes, groups, rows, g, h, unit_h)
 
     parent = node_sums(idx)
     cases = [(idx, parent)]
@@ -441,7 +441,7 @@ def test_tied_bound_covers_every_cut(scan, lam, gamma):
         found = trainer._best_split(x, order, gs, hs, lam, gamma, False)
         column_bound = trainer._tied_bounds(sums, rows, lam, gamma)[0]
         assert found is None or column_bound >= found[0]
-        bounds = trainer._gain_bounds(sums[0], sums[1], len(rows), lam, gamma)[0]
+        bounds = trainer._gain_bounds(sums[0][0], sums[1], len(rows), lam, gamma)[0]
         xs = x[order]
         cut = np.flatnonzero(xs[:-1] < xs[1:])
         dl, dr = hs[cut] + lam, (hs[-1] - hs[cut]) + lam
@@ -618,56 +618,6 @@ def test_mixed_distinct_and_tied_columns_write_oracle_bytes(loss, reg_lambda, se
     assert flags and all(distinct == no_ties[j] for j, distinct in flags)
 
 
-def oracle_encode(cols):
-    """``trainer._encode`` as one argsort of every column and a loop over
-    the columns: the reference for its blocked 2-D sort and coding."""
-    n = cols.shape[1]
-    presorted = np.argsort(cols, axis=1, kind="stable")
-    steps = [x[:-1] < x[1:] for x in map(np.take, cols, presorted)]
-    n_values = np.array([int(s.sum()) + 1 for s in steps])
-    distinct = n_values == n
-    screened = ~distinct & (n_values <= 8.0 * np.sqrt(n))
-    coded = np.flatnonzero(screened)
-    dtype = np.min_scalar_type(int(n_values[coded].max()) - 1) if len(coded) else np.uint8
-    codes = np.empty((n, len(coded)), dtype)
-    for t, j in enumerate(coded):
-        codes[presorted[j, 0], t] = 0
-        codes[presorted[j, 1:], t] = np.cumsum(steps[j], dtype=dtype)
-    slot = np.empty(len(cols), dtype=np.intp)
-    slot[~screened] = np.arange(len(cols) - len(coded))
-    slot[coded] = np.arange(len(coded))
-    if len(coded):
-        presorted = presorted[~screened]
-    return trainer._Columns(cols, distinct, screened, slot, presorted, codes, n_values[coded])
-
-
-@pytest.mark.parametrize("shape", ["snp", "mixed", "many_values", "no_ties", "one_row"])
-def test_blocked_encode_equals_column_loop(shape):
-    """Sorting and coding in column blocks gives every field of the
-    per-column loop, with the same dtype, on data that spans several
-    blocks: 0/1/2 columns, columns with and without ties (signed zeros,
-    many-valued, constant), codes past 255, and a single row."""
-    rng = np.random.default_rng(7)
-    if shape == "snp":
-        cols = rng.integers(0, 3, size=(700, 400)).astype(float)
-    elif shape == "mixed":
-        kinds = ["tied", "constant", "binary", "ternary", "normal"] * 20
-        cols = np.concatenate([dataset(rng, kinds, 3000, LossKind.SQUARED_ERROR).columns, mixed_columns(rng, 3000)])
-    elif shape == "many_values":
-        cols = rng.integers(0, 500, size=(90, 5000)).astype(float)
-    elif shape == "no_ties":
-        cols = rng.normal(size=(60, 4000))
-    else:
-        cols = rng.normal(size=(5, 1))
-    expected, found = oracle_encode(cols), trainer._encode(cols)
-    assert len(trainer._blocks(len(cols), cols.shape[1])) > 1 or shape == "one_row"
-    for field, want, got in zip(expected._fields, expected, found):
-        assert got.dtype == want.dtype and got.shape == want.shape, field
-        np.testing.assert_array_equal(got, want, err_msg=field)
-    if shape == "many_values":
-        assert found.codes.dtype == np.uint16
-
-
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_many_valued_tied_column_keeps_exact_scan(loss):
     """A column with ties but more than 8 sqrt(n) values is not
@@ -710,6 +660,37 @@ def test_many_valued_tied_column_keeps_exact_scan(loss):
     assert searches and len(scans) == len(searches) and not any(scans)
 
 
+def test_node_sums_pad_each_column_to_its_group():
+    """Code columns ascend by value count, and a node's sums pad each
+    column only to the widest count of its ``_value_groups`` run, which
+    holds at most ``_BLOCK_FLOATS`` values unless it is one column: a
+    column near 8 sqrt(n) values among a thousand 0/1/2 columns gets a run
+    of its own. Every column's sums are its own per-value sums, padded
+    with zeros."""
+    rng = np.random.default_rng(11)
+    n = 400
+    wide = rng.integers(0, 150, size=n).astype(float)
+    cols = np.concatenate([
+        rng.integers(0, 3, size=(1000, n)).astype(float), [np.round(rng.normal(size=n))], wide[None],
+    ])
+    cols = cols[rng.permutation(len(cols))]
+    enc = trainer._encode(cols)
+    assert enc.screened.all() and np.all(np.diff(enc.n_values) >= 0) and enc.n_values[-1] > 100
+    groups = trainer._value_groups(enc.n_values)
+    assert groups == [(0, 1001, enc.n_values[1000]), (1001, 1002, enc.n_values[1001])]
+    assert 1001 * enc.n_values[1000] <= trainer._BLOCK_FLOATS < 1002 * enc.n_values[1001]
+    g, h = rng.normal(size=n), rng.uniform(0.1, 0.3, size=n)
+    idx = np.sort(rng.choice(n, 300, replace=False))
+    parts, _ = trainer._node_sums(enc.codes, groups, idx, g, h, False)
+    for (lo, hi, width), part in zip(groups, parts, strict=True):
+        assert part.shape == (3, hi - lo, width)
+        for t in range(lo, hi):
+            code = enc.codes[idx, t]
+            for want, got in zip((np.bincount(code, g[idx], width), np.bincount(code, h[idx], width),
+                                  np.bincount(code, minlength=width)), part[:, t - lo]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("loss", list(LossKind))
 def test_depth_two_tree_sums_root_and_smaller_child_rows(loss):
     """A depth-2 tree sums the per-value sums of its root's rows and of its
@@ -730,9 +711,9 @@ def test_depth_two_tree_sums_root_and_smaller_child_rows(loss):
         trees.append((len(rows), []))
         return grow(enc, rows, *args)
 
-    def record_sums(codes, blocks, width, idx, *args):
+    def record_sums(codes, groups, idx, *args):
         trees[-1][1].append(len(idx))
-        return sums(codes, blocks, width, idx, *args)
+        return sums(codes, groups, idx, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "_grow_tree", record_tree)

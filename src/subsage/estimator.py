@@ -158,16 +158,19 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 class SubSageEngine:
     """Shared state for estimating one feature's sub-SAGE on one dataset.
 
-    A cell space is a set of split thresholds; rows in one of its cells
-    fall on the same side of each, so they share every conditional
-    expectation that tests only those thresholds. A row enters the loss
-    difference of the empty set and of each singleton m only through its
-    grid cells of k and m and its response, so it keeps one joint cell code
-    per such subset. For the rest subset it keeps, per group of trees that
-    split on k, the id of the leaf set it reaches with k unknown. A draw
-    sums the weights and weighted responses per joint cell, reads the branch
-    probabilities off their grid marginals, and sums closed-form loss gaps
-    per cell; only the rest subset gathers per row.
+    One table numbers the distinct (feature, threshold) pairs of all splits.
+    A row's grid cell on a feature counts its thresholds at or below the
+    row's value, so the row goes left exactly where its cell is at most the
+    threshold's rank: cells alone decide which side a row takes, and rows in
+    one cell of a set of thresholds share every conditional expectation that
+    tests only those. A row enters the loss difference of the empty set and
+    of each singleton m only through its grid cells of k and m and its
+    response, so it keeps one joint cell code per such subset. For the rest
+    subset it keeps, per group of trees that split on k, the id of the leaf
+    set it reaches with k unknown. A draw sums the weights and weighted
+    responses per joint cell, reads the branch probabilities off their grid
+    marginals, and sums closed-form loss gaps per cell; only the rest subset
+    gathers per row.
 
     Grid and pair tables are filled from leaf-box corners: a leaf adds its
     coefficient at the low corner of its box and takes it off past each
@@ -211,55 +214,50 @@ class SubSageEngine:
         self._singles.sort(key=lambda m: m not in shared)
         self._n_pairs = pairs = len(shared)
 
-        # Distinct (feature, threshold) pairs grouped by feature, k first,
-        # sorted by threshold; p0 is the annotation their nodes must share.
-        p_of: dict[tuple[int, float], float] = {}
-        for tree in trees:
-            at = tree.left >= 0
-            fields = (tree.feature[at], tree.threshold[at], tree.prob_left[at])
-            for f, t, p in zip(*(a.tolist() for a in fields)):
-                if p_of.setdefault((f, t), p) != p:
-                    raise InputError(
-                        f"nodes splitting feature {f} at {t!r} disagree on prob_left "
-                        f"({p_of[f, t]!r} vs {p!r})"
-                    )
-        by_feat: dict[int, list[float]] = {}
-        for f, t in p_of:
-            by_feat.setdefault(f, []).append(t)
+        # Threshold ids number the distinct (feature row, threshold) pairs, k
+        # first, thresholds ascending; p0 is the annotation of each pair's
+        # first node, which all its nodes must share. Per tree, the threshold
+        # id of each node (-1 at leaves); per used feature, each row's cell.
         feats = [k, *self._singles]
-        grids = {f: np.unique(ts) for f, ts in by_feat.items()}
-        sizes = np.array([len(grids[f]) for f in feats])
-        thr0 = dict(zip(feats, np.cumsum(sizes) - sizes))
-        self._p0 = np.array([p_of[(f, t)] for f in feats for t in grids[f]])
+        row_of = np.full(ensemble.n_features, -1)
+        row_of[feats] = np.arange(s + 1)
+        at = np.concatenate([tree.left for tree in trees]) >= 0
+        feat, thr, p = (np.concatenate([getattr(tree, name) for tree in trees])[at]
+                        for name in ("feature", "threshold", "prob_left"))
+        distinct, first, tid = np.unique(np.stack((row_of[feat], thr), axis=1), axis=0,
+                                         return_index=True, return_inverse=True)
+        self._p0 = p[first]
+        i = np.argmax(p != self._p0[tid])
+        if p[i] != self._p0[tid[i]]:
+            raise InputError(f"nodes splitting feature {feat[i]} at {float(thr[i])!r} disagree on "
+                             f"prob_left ({float(self._p0[tid[i]])!r} vs {float(p[i])!r})")
+        sizes = np.bincount(distinct[:, 0].astype(np.intp))
         self._thr_feat = np.repeat(feats, sizes)
         self._thr_rank = np.concatenate([np.arange(m) for m in sizes])
-        # Grid cell of each row: the number of thresholds at or below it.
-        self._iv = {f: np.searchsorted(g, data.column(f), side="right") for f, g in grids.items()}
+        iv = [np.searchsorted(thresholds, data.column(f), side="right")
+              for f, thresholds in zip(feats, np.split(distinct[:, 1], np.cumsum(sizes)[:-1]))]
+        node_tid = np.full(len(at), -1)
+        node_tid[at] = tid
+        self._node_tid = np.split(node_tid, np.cumsum([len(tree.left) for tree in trees])[:-1])
 
-        # Per tree, the threshold id of each node (-1 at leaves). Flat over
-        # the leaves of every tree, each leaf's value, step count and first
-        # step, and per step (leaf after leaf, root first) its index into a
-        # draw's (p, 1 - p). A box entry is a leaf's grid cells [lo, hi) on
-        # one split feature of its tree, hi = ``none`` if unbounded; a leaf's
-        # entries follow its tree's features in ascending order. With a rest
-        # subset, also the margin prediction and its part from tau_k trees,
-        # the all-known term of d^rest, which no draw changes.
+        # Flat over the leaves of every tree, each leaf's value, step count
+        # and first step, and per step (leaf after leaf, root first) its index
+        # into a draw's (p, 1 - p). A box entry is a leaf's grid cells [lo, hi)
+        # on one split feature of its tree, hi = ``none`` if unbounded; a
+        # leaf's entries follow its tree's features in ascending order. With a
+        # rest subset, also the margin prediction and its part from tau_k
+        # trees, the all-known term of d^rest, which no draw changes.
         none = int(sizes.max()) + 1
-        self._node_tid, values, n_steps, pq, at_box, above, left = [], [], [], [], [], [], []
+        values, n_steps, pq, at_box, above, left = [], [], [], [], [], []
         n_boxes = 0
         self._pred, self._tau_pred = np.full(self.n, ensemble.base_score), np.zeros(self.n)
-        for tree in trees:
+        for tree, tids in zip(trees, self._node_tid):
             if s > 1:
                 margin = tree.sweep(data.columns, tree.feature_set)
                 self._pred += margin
                 if k in tree.feature_set:
                     self._tau_pred += margin
             leaves, n, steps, went_left = tree.leaf_steps
-            tids = np.full(len(tree.feature), -1)
-            for f in tree.feature_set:
-                at = np.flatnonzero(tree.feature == f)
-                tids[at] = thr0[f] + np.searchsorted(grids[f], tree.threshold[at])
-            self._node_tid.append(tids)
             tid, width = tids[steps], len(tree.feature_set)
             at_box.append(n_boxes + np.repeat(np.arange(len(leaves)) * width, n)
                           + np.searchsorted(tree.feature_set, tree.feature[steps]))
@@ -335,8 +333,6 @@ class SubSageEngine:
         # grid cells 0..j; integer weights keep every partial sum exact.
         self._count_lo = np.repeat(grid0, sizes)
         self._count_hi = self._count_lo + self._thr_rank + 1
-        row_of = np.full(ensemble.n_features, -1)
-        row_of[feats] = np.arange(s + 1)
         base = grid0[row_of[box_feat]]
         opened = lo < hi
         closed = opened & (hi < none)
@@ -366,16 +362,16 @@ class SubSageEngine:
         # them one subset after another. Per cell, the table indices of its
         # margin F, its gap d^{} and, if m shares a tree with k, its pair
         # lattice position; other cells take the next slot, which stays 0.
-        k_rank, n_k = _dense_rank(self._iv[k], sizes[0] + 1)
+        k_rank, n_k = _dense_rank(iv[0], sizes[0] + 1)
         self._codes = np.empty((s + 1, self.n), np.intp)
-        self._codes[0] = self._iv[k]
+        self._codes[0] = iv[0]
         cells, self._cell0 = [np.stack((np.arange(sizes[0] + 1),) * 2)], [0, sizes[0] + 1]
         for row, m in enumerate(self._singles, 1):
             width = sizes[row] + 1
-            code, count = _dense_rank(k_rank * width + self._iv[m], n_k * width)
+            code, count = _dense_rank(k_rank * width + iv[row], n_k * width)
             np.add(code, self._cell0[-1], out=self._codes[row])
             cells.append(np.empty((2, count), np.intp))
-            cells[-1][:, code] = self._iv[k], self._iv[m]
+            cells[-1][:, code] = iv[0], iv[row]
             self._cell0.append(self._cell0[-1] + count)
         # Blocks of code rows count their cells from the block's first cell.
         self._code_blocks = _blocks(s + 1, self.n)
@@ -417,14 +413,15 @@ class SubSageEngine:
         # feature but k, the sum of the leaves a row reaches when it takes
         # both branches at each split on k. Walking each tree parents first,
         # a row's code doubles at each split off k and adds 1 if the row
-        # reaches it and goes right. Whether a row reaches a split follows
-        # from the digits above it, so equal codes mean equal leaf sets.
+        # reaches it and goes right, its grid cell past the split's threshold
+        # rank. Whether a row reaches a split follows from the digits above
+        # it, so equal codes mean equal leaf sets.
         # Codes are ranked densely whenever their bound passes the rows, and
         # each set's slot gets one entry per leaf it holds, in leaf order.
         for row, group in enumerate(groups):
             code, bound, reach = np.zeros(self.n, np.intp), 1, []
             for t in group:
-                tree = trees[t]
+                tree, tids = trees[t], self._node_tid[t]
                 at = np.zeros((len(tree.feature), self.n), bool)
                 at[0] = True
                 for v in np.flatnonzero(tree.left >= 0).tolist():
@@ -432,7 +429,7 @@ class SubSageEngine:
                     if f == k:
                         at[l] = at[r] = at[v]
                         continue
-                    left = data.column(f) < tree.threshold[v]
+                    left = iv[row_of[f]] <= self._thr_rank[tids[v]]
                     at[l], at[r] = at[v] & left, at[v] & ~left
                     if bound > self.n:
                         code, bound = _dense_rank(code, bound)
@@ -456,7 +453,7 @@ class SubSageEngine:
         first, rank = self._classes(classes // wide, classes % wide - 1, b, inv.astype(bool))
         self._entry_at = at
         self._entry_src = rank[first[of] + leaf - self._leaf0[leaf_tree[leaf]]] + neg * len(rank)
-        del self._iv, self._node_tid, self._values, self._leaf_n, self._step0, self._pq
+        del self._node_tid, self._values, self._leaf_n, self._step0, self._pq
         del self._n_leaves, self._leaf0
 
     # -- build helpers -------------------------------------------------------

@@ -483,6 +483,8 @@ def train(train_data: Dataset, valid_data: Dataset, cfg: TrainConfig) -> Ensembl
         raise InputError("train/valid schemas differ")
     if train_data.n_rows == 0:
         raise InputError("training data has no rows")
+    if valid_data.n_rows == 0:
+        raise InputError("validation data has no rows")
     y = train_data.response
     if cfg.loss is LossKind.BINARY_CROSS_ENTROPY:
         for name, resp in (("train", y), ("valid", valid_data.response)):

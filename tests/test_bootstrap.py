@@ -64,7 +64,25 @@ class TestPercentileInterval:
             percentile_interval([1.0, bad, 2.0, 3.0], 0.25)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "interval",
+    [
+        lambda alpha: percentile_interval([1.0, 2.0, 3.0], alpha),
+        lambda alpha: bca_interval([1.0, 2.0, 3.0], 2.0, alpha),
+    ],
+    ids=["percentile", "bca"],
+)
+def test_interval_alpha_out_of_range(interval, alpha):
+    with pytest.raises(InputError, match=r"alpha must lie in \(0, 0.5\)"):
+        interval(alpha)
+
+
 class TestBcaInterval:
+    def test_empty_rejected(self):
+        with pytest.raises(InputError, match="bca_interval: no draws"):
+            bca_interval([], 0.0, 0.1)
+
     def test_zero_accel_symmetric_reduces_to_percentile(self):
         # Symmetric draws around the point with median equal to the point.
         spread = np.linspace(-1.0, 1.0, 400)
@@ -186,6 +204,10 @@ class TestConfigValidation:
             BootstrapConfig(alpha=0.5)
         with pytest.raises(InputError):
             BootstrapConfig(alpha=0.0)
+
+    def test_unknown_bca_mode(self):
+        with pytest.raises(InputError, match="bca mode must be one of"):
+            BootstrapConfig(bca="bootstrap-t")
 
     def test_low_resolution_warns(self):
         with pytest.warns(UserWarning, match="order statistic") as caught:

@@ -142,6 +142,20 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"error: {data_csv}: duplicate column name {name!r}\n"
         assert not model.exists()
 
+    def test_numerical_error_exits_3(self, tmp_path, capsys):
+        # Responses near 1e200 square past the float range in a split gain.
+        data_csv = tmp_path / "huge.csv"
+        rows = [f"{i % 5},{(-1) ** i * (1 + i) * 1e200!r}" for i in range(20)]
+        data_csv.write_text("x1,y\n" + "\n".join(rows) + "\n")
+        model = tmp_path / "m.json"
+        code = run(["train", "--train", data_csv, "--valid", data_csv, "--rounds", 2,
+                    "--out", model])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical error: ")
+        assert "Traceback" not in err
+        assert not model.exists()
+
     def test_writes_model(self, small_pipeline):
         from subsage.tree_model import load_model
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from subsage.cond_expect import cond_exp_batch
+from subsage.cond_expect import cond_exp_batch, tree_cond_exp_batch
 from subsage.dataset import Dataset
 from subsage.errors import InputError
 from subsage.tree_model import (
@@ -120,6 +120,18 @@ class TestCondExpEnsemble:
 
 
 class TestCondExpBatch:
+    def test_unannotated_tree_rejected(self, rng):
+        data = random_dataset(rng, 5, 2)
+        with pytest.raises(InputError, match="tree is not probability-annotated"):
+            tree_cond_exp_batch(make_stump(0, 0.0, -1.0, 1.0), {0}, data.columns)
+
+    @pytest.mark.parametrize("f", [-1, 3])
+    def test_subset_feature_out_of_range(self, rng, f):
+        data = random_dataset(rng, 5, 3)
+        ens = annotate_probabilities(random_ensemble(rng, data, 2, 2), data)
+        with pytest.raises(InputError, match=f"subset feature {f} out of range"):
+            cond_exp_batch(ens, {0, f}, data)
+
     def test_single_row_matches_scalar(self, rng):
         data = random_dataset(rng, 1, 3)
         ens = annotate_probabilities(random_ensemble(rng, data, 5, 2), data)

@@ -43,6 +43,12 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="empty file"):
             load_csv(path, response="y")
 
+    def test_csv_error_names_line(self, tmp_path):
+        # A cell past csv's field size limit is a reader error, not a cell.
+        path = _write(tmp_path, "x1,y\n1,2\n" + "x" * 200_000 + ",3\n")
+        with pytest.raises(InputError, match="line 3: field larger than field limit"):
+            load_csv(path, response="y")
+
     def test_missing_response_column(self, tmp_path):
         path = _write(tmp_path, "x1,x2\n1,2\n")
         with pytest.raises(InputError, match="missing response"):
@@ -170,6 +176,11 @@ class TestSplit:
 
 
 class TestResample:
+    def test_index_length_mismatch(self, rng):
+        data = random_dataset(rng, 3, 2)
+        with pytest.raises(InputError, match="resample index length 2 != 3 rows"):
+            resample(data, ResampleIndex(np.array([0, 1])))
+
     def test_identity_permutation(self, rng):
         data = random_dataset(rng, 12, 3)
         idx = ResampleIndex(np.arange(12))
@@ -255,6 +266,16 @@ class TestDatasetInvariants:
         with pytest.raises(InputError):
             Dataset(("a",), np.ones((1, 3)), (FeatureKind.CONTINUOUS,), np.zeros(2))
 
+    def test_rejects_columns_not_2d(self):
+        with pytest.raises(InputError, match="columns must be a 2-D"):
+            Dataset(("a",), np.ones(3), (FeatureKind.CONTINUOUS,), np.zeros(3))
+
+    @pytest.mark.parametrize("names, n_kinds", [(("a",), 2), (("a", "b"), 3)])
+    def test_rejects_names_or_kinds_not_one_per_column(self, names, n_kinds):
+        kinds = (FeatureKind.CONTINUOUS,) * n_kinds
+        with pytest.raises(InputError, match="feature_names/kinds length must match column count"):
+            Dataset(names, np.ones((2, 3)), kinds, np.zeros(3))
+
     def test_rejects_repeated_feature_name(self):
         with pytest.raises(InputError) as exc:
             Dataset(("a", "b", "a"), np.ones((3, 2)), (FeatureKind.CONTINUOUS,) * 3, np.zeros(2))
@@ -271,3 +292,8 @@ class TestDatasetInvariants:
         both = concat_rows(a, b)
         assert both.n_rows == 12
         np.testing.assert_array_equal(both.columns[:, :5], a.columns)
+
+    def test_concat_rows_schemas_differ(self, rng):
+        a, b = random_dataset(rng, 5, 2), random_dataset(rng, 7, 3)
+        with pytest.raises(InputError, match="concat_rows: schemas differ"):
+            concat_rows(a, b)

@@ -78,6 +78,11 @@ class TestSubsetFamily:
                 )
                 assert w == float(exact)
 
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_feature_out_of_range(self, k):
+        with pytest.raises(InputError, match=f"feature index {k} out of range for m=5"):
+            build_subset_family(5, k)
+
     def test_small_m_rejected(self):
         with pytest.raises(InputError, match="at least 3"):
             build_subset_family(2, 0)
@@ -210,6 +215,11 @@ class TestSubsageEstimate:
         assert est.psi_hat == 0.0
         assert all(v == 0.0 for v in est.per_subset_deltas.values())
 
+    def test_unannotated_ensemble_rejected(self, rng):
+        data = random_dataset(rng, 20, 3)
+        with pytest.raises(InputError, match="ensemble is not probability-annotated"):
+            SubSageEngine(random_ensemble(rng, data, 3, 2), data, 0, LossKind.SQUARED_ERROR)
+
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_no_rows_rejected(self, rng, loss):
         data = random_dataset(rng, 20, 3, binary_response=True)
@@ -341,6 +351,36 @@ class TestDisagreeingAnnotation:
         ens = self._stumps(0.3, 0.3)
         got = subsage_estimate(ens, 0, data, LossKind.SQUARED_ERROR).psi_hat
         assert got == pytest.approx(naive_psi(ens, 0, data, LossKind.SQUARED_ERROR), abs=1e-12)
+
+
+class TestSignedZeroThreshold:
+    """Nodes may split one feature at -0.0 and at 0.0. Every value falls on
+    the same side of both, so the engine takes them as one threshold."""
+
+    def _ensemble(self, zero):
+        """Feature 1 split at ``zero`` in two nodes and at 0.0 in two."""
+        trees = (
+            make_depth2(0, 0.0, 1, zero, 1, 0.0, (1.0, -2.0, 0.5, 3.0)),
+            make_depth2(1, 0.0, 0, 0.5, 2, 0.0, (0.25, -1.0, 2.0, -0.5)),
+            make_depth2(2, 0.3, 1, zero, 3, -0.2, (-1.5, 0.75, 1.0, 0.0)),
+        )
+        return Ensemble(trees=trees, n_features=4)
+
+    def test_rest_ids_and_draws_match_one_zero(self, rng):
+        data = random_dataset(rng, 60, 4)
+        cols = data.columns.copy()
+        cols[1] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=60)
+        data = Dataset(data.feature_names, cols, data.kinds, data.response)
+        plain, signed = (
+            annotate_probabilities(self._ensemble(zero), data) for zero in (0.0, -0.0)
+        )
+        engines = [SubSageEngine(e, data, 0, LossKind.SQUARED_ERROR) for e in (plain, signed)]
+        assert np.array_equal(engines[0]._rest_ids, engines[1]._rest_ids)
+        weights = [None, *rng.integers(0, 3, size=(4, 60)).astype(float)]
+        draws = [[e.psi_for_weights(w) for w in weights] for e in engines]
+        assert draws[0] == draws[1]
+        naive = naive_psi(signed, 0, data, LossKind.SQUARED_ERROR)
+        assert draws[1][0] == pytest.approx(naive, abs=1e-12)
 
 
 class TestWeightedPathEquivalence:

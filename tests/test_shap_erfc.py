@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsage.cond_expect import tree_cond_exp_batch
 from subsage.dataset import Dataset, FeatureKind
@@ -21,11 +24,12 @@ from subsage.tree_model import (
     Tree,
     annotate_probabilities,
     leaf,
+    predict_margin_batch,
 )
 
 from cond_exp_oracle import SubsetMask, cond_exp_tree, predict_margin, predict_tree
 from conftest import dense_phi, make_depth2, make_stump, random_dataset, random_ensemble
-from test_engine_cells import ragged_tree
+from test_engine_cells import cases, ragged_tree
 
 
 def brute_force_tree_shap(tree, x) -> dict[int, float]:
@@ -131,6 +135,10 @@ class TestShapExact:
 
 
 class TestErfc:
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(InputError, match="erfc: empty SHAP matrix"):
+            erfc(ShapMatrix(phi=np.zeros((0, 2)), phi0=0.0))
+
     def test_single_row_direct(self):
         shap = ShapMatrix(phi=np.array([[1.0, 1.0]]), phi0=1.0)
         np.testing.assert_allclose(erfc(shap), [1 / 3, 1 / 3])
@@ -186,6 +194,83 @@ def dense_erfc(phi, phi0):
 
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def ragged_case(objective):
+    """Random ragged ensembles of depth up to 6 with ``objective``,
+    annotated on their data."""
+    return cases(max_depth=6).filter(lambda case: case[0].objective == objective).map(
+        lambda case: (annotate_probabilities(case[0], case[1]), case[1])
+    )
+
+
+def margin_scale(ens) -> float:
+    """The largest margin the ensemble can give: |base| plus each tree's
+    largest |leaf|."""
+    return abs(ens.base_score) + sum(float(np.abs(tree.value).max()) for tree in ens.trees)
+
+
+def with_columns(data, cols) -> Dataset:
+    names = tuple(f"x{j}" for j in range(len(cols)))
+    return Dataset(names, cols, (FeatureKind.CONTINUOUS,) * len(cols), data.response)
+
+
+OBJECTIVES = pytest.mark.parametrize("objective", ["regression", "binary-logistic"])
+
+
+class TestShapOnRaggedTrees:
+    """SHAP's properties on random ragged ensembles (ties, repeated
+    features along a path, depth up to 6), for both objectives."""
+
+    @OBJECTIVES
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_efficiency(self, objective, data):
+        ens, rows = data.draw(ragged_case(objective))
+        shap = shap_exact(ens, rows)
+        margin = predict_margin_batch(ens, rows)
+        gap = np.abs(shap.phi0 + shap.phi.sum(axis=1) - margin)
+        assert gap.max() <= 1e-9 * margin_scale(ens)
+
+    @OBJECTIVES
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_dummy_copy_of_column_zero(self, objective, data):
+        ens, rows = data.draw(ragged_case(objective))
+        wider = with_columns(rows, np.vstack((rows.columns, rows.columns[:1])))
+        shap = shap_exact(replace(ens, n_features=ens.n_features + 1), wider)
+        phi = dense_phi(shap)
+        assert np.all(phi[:, -1] == 0.0)
+        assert same_bits(phi[:, :-1], dense_phi(shap_exact(ens, rows)))
+
+    @OBJECTIVES
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_symmetry_under_relabeling(self, objective, data):
+        ens, rows = data.draw(ragged_case(objective))
+        perm = np.array(data.draw(st.permutations(range(ens.n_features))))
+        label = np.argsort(perm)  # new label of each old feature
+        trees = tuple(
+            Tree([n if n.is_leaf else replace(n, feature=int(label[n.feature]))
+                  for n in tree.nodes_sorted()])
+            for tree in ens.trees
+        )
+        relabeled = shap_exact(replace(ens, trees=trees), with_columns(rows, rows.columns[perm]))
+        gap = np.abs(dense_phi(relabeled) - dense_phi(shap_exact(ens, rows))[:, perm])
+        assert gap.max() <= 1e-12 * margin_scale(ens)
+
+    @OBJECTIVES
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_equals_brute_force(self, objective, data):
+        ens, rows = data.draw(ragged_case(objective))
+        phi = dense_phi(shap_exact(ens, rows))
+        for i in range(min(rows.n_rows, 6)):
+            expected = np.zeros(ens.n_features)
+            for tree in ens.trees:
+                for k, value in brute_force_tree_shap(tree, rows.columns[:, i]).items():
+                    expected[k] += value
+            assert phi[i].tolist() == expected.tolist()
 
 
 # (p, rows, size of the split-feature pool, deepest tree). numpy sums a

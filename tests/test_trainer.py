@@ -23,6 +23,10 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             TrainConfig(learning_rate=1.5)
 
+    def test_max_rounds_at_least_one(self):
+        with pytest.raises(InputError, match="max_rounds must be at least 1"):
+            TrainConfig(max_rounds=0)
+
     def test_depth_values(self):
         with pytest.raises(InputError):
             TrainConfig(max_depth=3)
@@ -243,3 +247,11 @@ class TestDeterminismAndStructure:
         data = _dataset(np.empty((3, 0)), np.empty(0))
         with pytest.raises(InputError, match="training data has no rows"):
             train(data, data, TrainConfig(max_rounds=2))
+
+    @pytest.mark.parametrize("early_stopping_rounds", [0, 2])
+    def test_no_validation_row_is_input_error(self, early_stopping_rounds):
+        data = _dataset(np.arange(12.0).reshape(3, 4), np.arange(4.0))
+        valid = _dataset(np.empty((3, 0)), np.empty(0))
+        cfg = TrainConfig(max_rounds=2, early_stopping_rounds=early_stopping_rounds)
+        with pytest.raises(InputError, match="validation data has no rows"):
+            train(data, valid, cfg)

@@ -74,6 +74,18 @@ class TestTreeStructure:
         with pytest.raises(InputError, match="out of range"):
             Ensemble(trees=(make_stump(3, 1.0, 0.0, 1.0),), n_features=2)
 
+    def test_duplicate_node_id(self):
+        with pytest.raises(InputError, match="duplicate node id 2"):
+            Tree([branch(1, 0, 1.0, 2, 3), leaf(2, 0.0), leaf(2, 1.0), leaf(3, 1.0)])
+
+    def test_cycle_rejected(self):
+        with pytest.raises(InputError, match="cycle through node id 1"):
+            Tree([branch(1, 0, 1.0, 2, 1), leaf(2, 0.0)])
+
+    def test_unknown_objective(self):
+        with pytest.raises(InputError, match="unknown objective 'poisson'"):
+            Ensemble(trees=(make_stump(0, 1.0, 0.0, 1.0),), n_features=1, objective="poisson")
+
 
 class TestPredict:
     def test_single_leaf_plus_base(self):
@@ -407,6 +419,20 @@ class TestXgbImport:
         path.write_text("[]")
         with pytest.raises(InputError, match="no trees"):
             import_xgb_dump(path)
+
+    def test_dump_not_an_array(self, tmp_path):
+        path = tmp_path / "dump.json"
+        path.write_text('{"trees": []}')
+        with pytest.raises(InputError, match="expected a JSON array of trees"):
+            import_xgb_dump(path)
+
+    @pytest.mark.parametrize("token", [3, "3", "f3"])
+    def test_split_feature_token(self, tmp_path, token):
+        doc = [{"nodeid": 0, "split": token, "split_condition": 0.5, "yes": 1, "no": 2,
+                "children": [{"nodeid": 1, "leaf": -1.0}, {"nodeid": 2, "leaf": 1.0}]}]
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(doc))
+        assert import_xgb_dump(path).trees[0].feature_set == (3,)
 
     def test_divergent_missing_branch_rejected(self, tmp_path):
         doc = [

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
+from itertools import zip_longest
 from pathlib import Path
 
 from . import bootstrap as bs
@@ -125,15 +127,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    overrides = {}
-    for name in COEFFICIENTS:
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.sigma_eps is not None:
-        overrides["sigma_eps"] = args.sigma_eps
-    if args.noise_seed is not None:
-        overrides["noise_seed"] = args.noise_seed
+    given = {name: vars(args)[name] for name in (*COEFFICIENTS, "sigma_eps", "noise_seed")}
+    overrides = {name: value for name, value in given.items() if value is not None}
     cfg = SyntheticConfig(n=args.n, seed=args.seed, **overrides)
     data = generate_synthetic(cfg)
     out_dir = Path(args.out_dir)
@@ -149,6 +144,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     train_data = load_csv(args.train, response=args.response)
     valid_data = load_csv(args.valid, response=args.response)
+    pairs = zip_longest(train_data.feature_names, valid_data.feature_names)
+    for i, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            raise InputError(f"--train {args.train} and --valid {args.valid} differ at feature "
+                             f"column {i}: {a!r} vs {b!r}")
     cfg = TrainConfig(
         learning_rate=args.eta,
         max_depth=args.max_depth,
@@ -167,9 +167,18 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _model_and_data(model_path, data_path, response):
+    """The model and the CSV, which must have one column per model feature."""
+    model = load_model(model_path)
+    data = load_csv(data_path, response=response)
+    if data.n_cols != model.n_features:
+        raise InputError(f"{data_path} has {data.n_cols} features, "
+                         f"model {model_path} expects {model.n_features}")
+    return model, data
+
+
 def _cmd_rank(args) -> int:
-    model = load_model(args.model)
-    data = load_csv(args.data, response=args.response)
+    model, data = _model_and_data(args.model, args.data, args.response)
     annotated = annotate_probabilities(model, data)
     kappa = erfc(shap_exact(annotated, data))
     ranked = rank_features(kappa, min(args.top, data.n_cols))
@@ -181,13 +190,8 @@ def _cmd_rank(args) -> int:
 
 def _cmd_subsage(args) -> int:
     if args.train_path is not None and Path(args.train_path).resolve() == Path(args.test).resolve():
-        print(
-            "warning: --test equals --train-path; sub-SAGE estimates on "
-            "training data are biased",
-            file=sys.stderr,
-        )
-    model = load_model(args.model)
-    test = load_csv(args.test, response=args.response)
+        warnings.warn("--test equals --train-path; sub-SAGE estimates on training data are biased")
+    model, test = _model_and_data(args.model, args.test, args.response)
     loss = _LOSS_BY_NAME[args.loss]
     cfg = bs.BootstrapConfig(
         n_draws=args.bootstrap, alpha=args.alpha, seed=args.seed, bca=args.bca
@@ -211,14 +215,10 @@ def _cmd_subsage(args) -> int:
             for name, result in zip(features, results):
                 out.writerows((name, i, v) for i, v in enumerate(result.draws.tolist(), start=1))
 
-    header = f"{'feature':>10} {'psi_hat':>12} {'lo':>12} {'hi':>12}"
-    lines = [header]
+    print(f"{'feature':>10} {'psi_hat':>12} {'lo':>12} {'hi':>12}")
     for name, r in zip(features, results):
-        lines.append(
-            f"{name:>10} {r.point_estimate:>12.5g} "
-            f"{r.percentile[0]:>12.5g} {r.percentile[1]:>12.5g}"
-        )
-    print("\n".join(lines))
+        lo, hi = r.percentile
+        print(f"{name:>10} {r.point_estimate:>12.5g} {lo:>12.5g} {hi:>12.5g}")
     _say(args, f"wrote {args.out}")
     return EXIT_OK
 
@@ -244,15 +244,38 @@ _COMMANDS = {
 }
 
 
+# Destinations of the flags naming files that commands read, then of those
+# naming files they write. --train-path is never read, but names training data.
+_READS, _WRITES = ("train", "valid", "model", "test", "train_path", "src"), ("out", "hist_csv")
+
+
+def _check_outputs(args) -> None:
+    """Reject an output flag naming the file of an input or of another
+    output, before any file is read or written."""
+    seen: dict[Path, str] = {}
+    for dest in (*_READS, *_WRITES):
+        value = vars(args).get(dest)
+        if value is None:
+            continue
+        flag = "--in" if dest == "src" else "--" + dest.replace("_", "-")
+        path = Path(value).resolve()
+        if dest in _WRITES and path in seen:
+            raise _UsageExit(f"{flag} and {seen[path]} name the same file {value}")
+        seen.setdefault(path, flag)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_outputs(args)
     except _UsageExit as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -299,13 +299,8 @@ def split(
     for i in range(n - sum(sizes)):
         sizes[i % 3] += 1
     perm = np.random.default_rng(seed).permutation(n)
-    out = []
-    start = 0
-    for size in sizes:
-        rows = np.sort(perm[start : start + size])
-        out.append(dataset.take_rows(rows))
-        start += size
-    return out[0], out[1], out[2]
+    a, b = sizes[0], sizes[0] + sizes[1]
+    return tuple(dataset.take_rows(np.sort(rows)) for rows in (perm[:a], perm[a:b], perm[b:]))
 
 
 def resample(dataset: Dataset, idx: ResampleIndex) -> Dataset:

@@ -204,10 +204,10 @@ class SubSageEngine:
         self.used_features = frozenset(f for tree in trees for f in tree.feature_set)
         # Features whose singleton has its own delta: those some tree uses.
         self._singles = sorted(self.used_features - {k})
-        if not tau:
-            return  # no tree splits on k: every estimate is exactly zero
         s = len(self._singles)
         self._rest_row = s + 1 if s > 1 else s
+        if not tau:
+            return  # no tree splits on k: every delta is exactly zero
         shared = set().union(*(trees[t].feature_set for t in tau)) - {k}
         # Singletons of features sharing a tree with k first: their d^{m}
         # differs from d^{} by a correction over those trees.
@@ -559,13 +559,13 @@ class SubSageEngine:
         table[self._grid1 : self._grids_end] += table[self._empty_slot]
         return table
 
-    def _delta_rows(self, weights) -> np.ndarray | None:
+    def _delta_rows(self, weights) -> np.ndarray:
         """Loss differences for the empty set, each used feature's
-        singleton and, with two or more of those, the rest subset; None
-        when no tree splits on k."""
+        singleton and, with two or more of those, the rest subset; all
+        zero when no tree splits on k."""
         w, total = (np.ones(self.n), float(self.n)) if weights is None else self._weights(weights)
         if self.k not in self.used_features:
-            return None
+            return np.zeros(self._rest_row + 1)
         sw, swy = self._cell_sums(w)
         table = self._table(self._p0 if weights is None else self._grid_probs(sw, total))
         # Per block, cells' F and d (d^{} + pair term), and each subset's gaps.
@@ -598,8 +598,6 @@ class SubSageEngine:
         return (swy - sw) * d + sw * (np.logaddexp(0.0, -f) - np.logaddexp(0.0, -f - d))
 
     def _psi(self, delta) -> float:
-        if delta is None:
-            return 0.0
         s = len(self._singles)
         weights = self.family.weights
         # Singletons of features no tree uses carry the empty set's delta.
@@ -611,15 +609,9 @@ class SubSageEngine:
     def _by_subset(self, delta) -> dict[frozenset[int], float]:
         """Per-subset deltas; a subset's delta depends only on its features
         that some tree uses, so subsets agreeing on those share one value."""
-        if delta is None:
-            return dict.fromkeys(self.family.subsets, 0.0)
-        delta = delta.tolist()
         row = {frozenset((m,)): i for i, m in enumerate(self._singles, 1)}
-        rest = self.family.subsets[-1]
-        return {
-            s: delta[self._rest_row if s == rest else row.get(s, 0)]
-            for s in self.family.subsets
-        }
+        row[self.family.subsets[-1]] = self._rest_row
+        return {s: delta[row.get(s, 0)].item() for s in self.family.subsets}
 
     def psi_for_weights(self, weights: np.ndarray | None = None) -> float:
         return self._psi(self._delta_rows(weights))

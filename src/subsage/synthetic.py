@@ -100,39 +100,30 @@ def generate_synthetic(cfg: SyntheticConfig) -> Dataset:
     noise = noise_feature_params(cfg)
 
     columns = np.empty((N_FEATURES, n))
-    kinds: list[FeatureKind] = []
     columns[0] = _column_rng(cfg.seed, 1).binomial(X1_TRIALS, X1_P, n)
     columns[1] = _column_rng(cfg.seed, 2).binomial(X2_TRIALS, X2_P, n)
     columns[2] = _column_rng(cfg.seed, 3).gamma(X3_SHAPE, 1.0 / X3_RATE, n)
     columns[3] = _column_rng(cfg.seed, 4).uniform(X4_LOW, X4_HIGH, n)
     columns[4] = _column_rng(cfg.seed, 5).poisson(X5_LAMBDA, n)
     columns[5] = _column_rng(cfg.seed, 6).normal(X6_MU, X6_SIGMA, n)
-    kinds += [
-        FeatureKind.ORDINAL_COUNT,
-        FeatureKind.ORDINAL_COUNT,
-        FeatureKind.CONTINUOUS,
-        FeatureKind.CONTINUOUS,
-        FeatureKind.ORDINAL_COUNT,
-        FeatureKind.CONTINUOUS,
-    ]
-    pos = N_SIGNAL
     for j in range(N_NOISE_NORMAL):
+        pos = N_SIGNAL + j
         columns[pos] = _column_rng(cfg.seed, pos + 1).normal(
             noise.normal_mu[j], noise.normal_sigma[j], n
         )
-        kinds.append(FeatureKind.CONTINUOUS)
-        pos += 1
     for j in range(N_NOISE_BINOM):
+        pos = N_SIGNAL + N_NOISE_NORMAL + j
         columns[pos] = _column_rng(cfg.seed, pos + 1).binomial(
             2, noise.binom_p[j], n
         )
-        kinds.append(FeatureKind.ORDINAL_COUNT)
-        pos += 1
+    count, cont = FeatureKind.ORDINAL_COUNT, FeatureKind.CONTINUOUS
+    kinds = (count, count, cont, cont, count, cont, *(cont,) * N_NOISE_NORMAL,
+             *(count,) * N_NOISE_BINOM)
 
     eps = _column_rng(cfg.seed, 0).normal(0.0, cfg.sigma_eps, n)
     y = true_response(columns, cfg) + eps
     names = tuple(f"x{i}" for i in range(1, N_FEATURES + 1))
-    return Dataset(names, columns, tuple(kinds), y)
+    return Dataset(names, columns, kinds, y)
 
 
 def true_response(columns: np.ndarray, cfg: SyntheticConfig) -> np.ndarray:

@@ -185,13 +185,6 @@ class Tree:
             first, cur = first[below], up[below]
         return leaves, n_steps, steps, went_left
 
-    def with_probs(self, probs: dict[int, float]) -> "Tree":
-        new_nodes = [
-            replace(n, prob_left=probs[n.id]) if not n.is_leaf else n
-            for n in self.nodes_sorted()
-        ]
-        return Tree(new_nodes)
-
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -274,7 +267,8 @@ def annotate_probabilities(ensemble: Ensemble, data: Dataset) -> Ensemble:
             n.id: empirical_prob_below(data.column(n.feature), n.threshold)
             for n in tree.branch_nodes()
         }
-        annotated.append(tree.with_probs(probs))
+        annotated.append(Tree(n if n.is_leaf else replace(n, prob_left=probs[n.id])
+                              for n in tree.nodes_sorted()))
     return replace(ensemble, trees=tuple(annotated))
 
 

@@ -41,7 +41,7 @@ class RowKernel:
         with k."""
         w, total = (np.ones(self.n), float(self.n)) if weights is None else self._weights(weights)
         if self.k not in self.used_features:
-            return None
+            return np.zeros(self._rest_row + 1)
         table = self._table(self._p0 if weights is None else self._probs(w, total))
         s, pairs, ids = len(self._singles), self._n_pairs, self._ids
         x = np.take(table, np.vstack([

@@ -70,10 +70,10 @@ class SlotEngine(RowKernel, SubSageEngine):
         self.used_features = frozenset(f for tree in trees for f in tree.feature_set)
         # Features whose singleton has its own delta: those some tree uses.
         self._singles = sorted(self.used_features - {k})
-        if not tau:
-            return  # no tree splits on k: every estimate is exactly zero
         s = len(self._singles)
         self._rest_row = s + 1 if s > 1 else s
+        if not tau:
+            return  # no tree splits on k: every delta is exactly zero
         with_m = {m: [t for t in tau if m in trees[t].feature_set] for m in self._singles}
         # Singletons of features sharing a tree with k first: their d^{m}
         # differs from d^{} by a correction over those trees.

@@ -506,3 +506,111 @@ class TestConvert:
         dump = tmp_path / "dump.json"
         dump.write_text("[]")
         assert run(["convert", "--in", dump, "--out", tmp_path / "m.json"]) == 2
+
+
+def _three_feature_files(tmp_path, rng):
+    """A 3-feature CSV, a stump model of it, and that model as a dump."""
+    data = Dataset(("a", "b", "c"), rng.normal(size=(3, 30)), (FeatureKind.CONTINUOUS,) * 3,
+                   rng.normal(size=30))
+    data_csv, model, dump = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "dump.json"
+    write_csv(data, data_csv)
+    write_model(Ensemble(trees=(make_stump(0, 0.0, -1.0, 1.0),), n_features=3), model)
+    dump.write_text(json.dumps([{"nodeid": 0, "split": "f0", "split_condition": 0.0, "yes": 1,
+                                 "no": 2, "children": [{"nodeid": 1, "leaf": -1.0},
+                                                       {"nodeid": 2, "leaf": 1.0}]}]))
+    return data_csv, model, dump
+
+
+class TestOutputPathCollisions:
+    """An output flag naming an input's file or another output's is a usage
+    error, raised before any file is read or written."""
+
+    def _check(self, tmp_path, capsys, monkeypatch, argv, out_flag, same_as):
+        # The output is spelled relative to the working directory, the input
+        # absolute, so only resolved paths match.
+        monkeypatch.chdir(tmp_path)
+        given = dict(zip(argv[1::2], argv[2::2]))
+        argv = [*argv, out_flag, Path(given[same_as]).name]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: {out_flag} and {same_as} name the same file {Path(given[same_as]).name}\n"
+        )
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("same_as", ["--train", "--valid"])
+    def test_train(self, tmp_path, rng, capsys, monkeypatch, same_as):
+        data_csv, _, _ = _three_feature_files(tmp_path, rng)
+        valid = tmp_path / "valid.csv"
+        valid.write_bytes(data_csv.read_bytes())
+        argv = ["train", "--train", data_csv, "--valid", valid]
+        self._check(tmp_path, capsys, monkeypatch, argv, "--out", same_as)
+
+    @pytest.mark.parametrize("out_flag, same_as", [
+        ("--out", "--test"), ("--out", "--model"), ("--out", "--train-path"),
+        ("--hist-csv", "--out"), ("--hist-csv", "--test"),
+    ])
+    def test_subsage(self, tmp_path, rng, capsys, monkeypatch, out_flag, same_as):
+        data_csv, model, _ = _three_feature_files(tmp_path, rng)
+        train_csv, report = tmp_path / "train.csv", tmp_path / "report.json"
+        train_csv.write_bytes(data_csv.read_bytes())
+        report.write_text("an earlier report\n")
+        argv = ["subsage", "--model", model, "--test", data_csv, "--train-path", train_csv,
+                "--feature", "a", "--bootstrap", 4, "--alpha", "0.25"]
+        if out_flag != "--out":
+            argv += ["--out", report]
+        self._check(tmp_path, capsys, monkeypatch, argv, out_flag, same_as)
+
+    def test_convert(self, tmp_path, rng, capsys, monkeypatch):
+        _, _, dump = _three_feature_files(tmp_path, rng)
+        self._check(tmp_path, capsys, monkeypatch, ["convert", "--in", dump], "--out", "--in")
+
+
+class TestMessagesNameFiles:
+    @pytest.mark.parametrize("command", ["rank", "subsage"])
+    def test_short_data_names_csv_and_model(self, tmp_path, rng, capsys, command):
+        _, model, _ = _three_feature_files(tmp_path, rng)
+        short = tmp_path / "short.csv"
+        write_csv(Dataset(("a", "b"), rng.normal(size=(2, 10)), (FeatureKind.CONTINUOUS,) * 2,
+                          rng.normal(size=10)), short)
+        argv = {
+            "rank": ["rank", "--model", model, "--data", short],
+            "subsage": ["subsage", "--model", model, "--test", short, "--feature", "a",
+                        "--bootstrap", 4, "--alpha", "0.25", "--out", tmp_path / "r.json"],
+        }[command]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {short} has 2 features, model {model} expects 3\n"
+
+    @pytest.mark.parametrize("names, column, first, second", [
+        (("a", "b"), 3, "'c'", "None"),
+        (("a", "x", "c"), 2, "'b'", "'x'"),
+        (("a", "b", "c", "d"), 4, "None", "'d'"),
+    ])
+    def test_valid_schema_names_both_csvs_and_the_column(self, tmp_path, rng, capsys,
+                                                          names, column, first, second):
+        data_csv, _, _ = _three_feature_files(tmp_path, rng)
+        valid = tmp_path / "valid.csv"
+        m = len(names)
+        write_csv(Dataset(names, rng.normal(size=(m, 10)), (FeatureKind.CONTINUOUS,) * m,
+                          rng.normal(size=10)), valid)
+        out = tmp_path / "m.json"
+        assert run(["train", "--train", data_csv, "--valid", valid, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --train {data_csv} and --valid {valid} differ at feature column {column}: "
+            f"{first} vs {second}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--bootstrap", 20],
+         "B*alpha = 0.5 < 1: the lower order statistic is the sample minimum"),
+        (["--bootstrap", 4, "--alpha", "0.25", "--train-path", "data.csv"],
+         "--test equals --train-path; sub-SAGE estimates on training data are biased"),
+    ])
+    def test_warning_is_one_line(self, tmp_path, rng, capsys, monkeypatch, flags, message):
+        data_csv, model, _ = _three_feature_files(tmp_path, rng)
+        monkeypatch.chdir(tmp_path)
+        assert run(["--quiet", "subsage", "--model", model, "--test", data_csv, "--feature", "a",
+                    *flags, "--out", tmp_path / "r.json"]) == 0
+        assert capsys.readouterr().err == f"warning: {message}\n"

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ class TestCondExpTree:
     def test_empty_mask_is_leaf_probability_mix(self):
         tree = make_depth2(0, 0.0, 1, 0.0, 1, 0.0, (1.0, 2.0, 3.0, 4.0))
         probs = {1: 0.5, 2: 0.25, 3: 0.75}
-        tree = tree.with_probs(probs)
+        tree = Tree(n if n.is_leaf else replace(n, prob_left=probs[n.id]) for n in tree.nodes_sorted())
         expected = 0.5 * (0.25 * 1 + 0.75 * 2) + 0.5 * (0.75 * 3 + 0.25 * 4)
         assert cond_exp_tree(tree, SubsetMask.empty()) == pytest.approx(expected, abs=1e-15)
 

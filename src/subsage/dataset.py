@@ -140,7 +140,7 @@ def _scan_rows(path: Path, response: str) -> tuple[list[str], np.ndarray]:
     with ``csv.reader`` and ``float``. Anything wrong raises an
     ``InputError``; a bad row or cell is named by its 1-based file row and
     its column."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -201,7 +201,7 @@ def _parse_fast(path: Path, response: str) -> tuple[list[str], np.ndarray] | Non
     only if it parses and gives one row per line, each as wide as the
     header; ``load_csv`` sends any error to the scanner.
     """
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader(fh), [])
         first = next(fh, "")
         if response not in header or not first.strip():

@@ -373,10 +373,7 @@ class SubSageEngine:
             cells.append(np.empty((2, count), np.intp))
             cells[-1][:, code] = iv[0], iv[row]
             self._cell0.append(self._cell0[-1] + count)
-        # Blocks of code rows count their cells from the block's first cell.
         self._code_blocks = _blocks(s + 1, self.n)
-        for r0, r1 in self._code_blocks:
-            self._codes[r0:r1] -= self._cell0[r0]
         at_k, at_m = np.concatenate(cells, axis=1)
         subset = np.repeat(np.arange(s + 1), np.diff(self._cell0))
         self._cell_slots = np.stack((grid0[subset] + at_m, at_k, np.full_like(at_k, slot)))
@@ -509,19 +506,21 @@ class SubSageEngine:
             raise InputError("weights must have positive total")
         return w, total
 
-    def _cell_sums(self, w: np.ndarray) -> np.ndarray:
-        """Weights and weighted responses summed per joint cell, one
-        bincount per block of code rows. A cell's rows share a code row, so
-        they add in row order whatever the blocks."""
-        size = self._code_blocks[0][1]
-        tiled = np.tile(w, size), np.tile(w * self.y, size)
-        sums = np.empty((2, self._cell0[-1]))
-        for lo, hi in self._code_blocks:
-            a, b = self._cell0[lo], self._cell0[hi]
+    def _cell_sums(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weights and weighted responses summed per joint cell: one
+        ``np.add.at`` per block of code rows adds w + i wy into complex
+        sums, whose two parts add as two separate float sums. A cell's rows
+        share a code row, so they add in row order whatever the blocks."""
+        cw = np.empty(self.n, np.complex128)
+        cw.real, cw.imag = w, w * self.y
+        blocks = _blocks(len(self._codes), 2 * self.n)
+        tiled = np.tile(cw, blocks[0][1])
+        sums = np.zeros(self._cell0[-1], np.complex128)
+        for lo, hi in blocks:
             codes = self._codes[lo:hi].ravel()
-            for out, x in zip(sums, tiled):
-                out[a:b] = np.bincount(codes, x[: len(codes)], b - a)
-        return sums
+            # Values as long as the codes: add.at can mis-add broadcast ones.
+            np.add.at(sums, codes, tiled[: len(codes)])
+        return sums.real, sums.imag
 
     def _grid_probs(self, sw: np.ndarray, total: float) -> np.ndarray:
         """Branch probabilities from the joint cells' weight sums ``sw``

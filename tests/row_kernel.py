@@ -65,12 +65,8 @@ class RowKernel:
 
 
 def cell_codes(engine) -> np.ndarray:
-    """The engine's joint-cell codes numbered over all cells, not from the
-    first cell of their block of code rows."""
-    codes = engine._codes.copy()
-    for lo, hi in engine._code_blocks:
-        codes[lo:hi] += engine._cell0[lo]
-    return codes
+    """The engine's joint-cell codes, numbered over all cells."""
+    return engine._codes
 
 
 def row_ids(engine) -> np.ndarray:

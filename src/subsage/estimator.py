@@ -102,7 +102,7 @@ def build_subset_family(m: int, k: int) -> SubsetFamily:
 # d^rest in the last bits.
 _REST_CELLS = 128
 
-# Float64 values per block of a draw's code or rest rows, about 1 MB: a
+# Float64 values per block of a draw's code rows, about 1 MB: a
 # block stays in cache however many features the trees use, while on few
 # data rows one numpy call still covers many subsets.
 _BLOCK_FLOATS = 2**17
@@ -308,11 +308,11 @@ class SubSageEngine:
         # (tree, known features) at one table index. A class key packs the
         # tree, up to two features a and b or -1, and whether the leaf's
         # unknown steps are those on a or b (inv 1) or all others (inv 0).
-        wide = ensemble.n_features + 1
+        dims = (len(trees), ensemble.n_features + 1, ensemble.n_features + 1, 2)
         entries: list[tuple] = []
 
         def key(t, a=-1, b=-1, inv=0):
-            return ((t * wide + a + 1) * wide + b + 1) * 2 + inv
+            return np.ravel_multi_index((t, a + 1, b + 1, inv), dims)
 
         def add(at, keys, leaf, neg, keep=slice(None)):
             neg = np.broadcast_to(neg, at.shape)
@@ -445,9 +445,8 @@ class SubSageEngine:
         at, keys, leaf, neg = (np.concatenate(a) for a in zip(*entries))
         del entries
         classes, of = np.unique(keys, return_inverse=True)
-        inv, classes = classes % 2, classes // 2
-        b, classes = classes % wide - 1, classes // wide
-        first, rank = self._classes(classes // wide, classes % wide - 1, b, inv.astype(bool))
+        t, a, b, inv = np.unravel_index(classes, dims)
+        first, rank = self._classes(t, a - 1, b - 1, inv.astype(bool))
         self._entry_at = at
         self._entry_src = rank[first[of] + leaf - self._leaf0[leaf_tree[leaf]]] + neg * len(rank)
         del self._node_tid, self._values, self._leaf_n, self._step0, self._pq
@@ -575,14 +574,11 @@ class SubSageEngine:
             gaps = self._gaps(f, np.add(d, pair, out=d), sw[a:b], swy[a:b])
             delta[lo:hi] = np.add.reduceat(gaps, np.subtract(self._cell0[lo:hi], a))
         if self._n_rest:
-            # d^rest is the tau_k trees' prediction plus the rest rows, added
-            # in order: row 0 of each block carries the axis-0 sum so far.
-            rest = _blocks(self._n_rest, self.n)
-            buf, d = np.empty((1 + rest[0][1], self.n)), np.zeros(self.n)
-            for lo, hi in rest:
-                buf[0] = d
-                np.take(table, self._rest_ids[lo:hi], out=buf[1 : 1 + hi - lo], mode="clip")
-                buf[: 1 + hi - lo].sum(axis=0, out=d)
+            # d^rest is the rest rows added one by one in table order, as an
+            # axis-0 sum adds them, then the tau_k trees' prediction.
+            d, row = np.zeros(self.n), np.empty(self.n)
+            for ids in self._rest_ids:
+                d += np.take(table, ids, out=row, mode="clip")
             d += self._tau_pred
             delta[-1] = self._gaps(self._pred - d, d, w, w * self.y).sum()
         return delta / total

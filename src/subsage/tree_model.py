@@ -261,15 +261,12 @@ def annotate_probabilities(ensemble: Ensemble, data: Dataset) -> Ensemble:
     yields identical probabilities.
     """
     ensemble.check_width(data)
-    annotated = []
-    for tree in ensemble.trees:
-        probs = {
-            n.id: empirical_prob_below(data.column(n.feature), n.threshold)
-            for n in tree.branch_nodes()
-        }
-        annotated.append(Tree(n if n.is_leaf else replace(n, prob_left=probs[n.id])
-                              for n in tree.nodes_sorted()))
-    return replace(ensemble, trees=tuple(annotated))
+    return replace(ensemble, trees=tuple(
+        Tree(n if n.is_leaf
+             else replace(n, prob_left=empirical_prob_below(data.column(n.feature), n.threshold))
+             for n in tree.nodes_sorted())
+        for tree in ensemble.trees
+    ))
 
 
 # ---------------------------------------------------------------------------

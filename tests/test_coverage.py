@@ -11,11 +11,13 @@ Var(1[x_k >= t]) = Phi(t) (1 - Phi(t)).
 
 Replicate r draws n = 400 rows from ``default_rng([SEED, r])`` and runs
 ``paired_bootstrap`` with B = 200, alpha = 0.025, bootstrap seed r and BCa
-with zero acceleration; it counts whether each interval holds the
-estimand. The test runs replicates 0-99 and asserts each count is at least
-the exact binomial 0.1% quantile, at 100 replicates, of the rate of the full
-run over replicates 0-999, recorded in ``FULL_RUN``. To repeat the full
-run (about a minute on 2 vCPUs):
+with the jackknife acceleration; from the same draws it also forms the BCa
+interval with zero acceleration (``bca_interval`` without jackknife
+values), and it counts whether each interval holds the estimand. The test
+runs replicates 0-99 and asserts each count is at least the exact binomial
+0.1% quantile, at 100 replicates, of the rate of the full run over
+replicates 0-999, recorded in ``FULL_RUN``. To repeat the full run (about
+two minutes on 2 vCPUs):
 
     PYTHONPATH=src python tests/test_coverage.py 1000
 """
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from subsage.bootstrap import BootstrapConfig, paired_bootstrap
+from subsage.bootstrap import BootstrapConfig, bca_interval, paired_bootstrap
 from subsage.dataset import Dataset, FeatureKind
 from subsage.estimator import LossKind
 from subsage.tree_model import Ensemble
@@ -41,16 +43,19 @@ SEED, N_ROWS, N_DRAWS, ALPHA = 1, 400, 200, 0.025
 BETA = (1.0, 0.5, 0.0)
 STUMPS = ((0.3, -0.4, 0.6), (-0.2, -0.3, 0.2), (0.5, 0.05, -0.05))  # (t, left, right)
 FEATURES = (0, 2)
-KINDS = ("percentile", "bca")
+KINDS = ("percentile", "bca", "bca-jackknife")
 ENSEMBLE = Ensemble(trees=tuple(make_stump(k, *s) for k, s in enumerate(STUMPS)), n_features=3)
 
 # Hits out of 1000 replicates per (feature, interval kind), with their 95%
-# Clopper-Pearson intervals: every one holds the nominal 0.95.
+# Clopper-Pearson intervals: every one holds the nominal 0.95 but x0's
+# BCa-jackknife, whose interval ends just below it.
 FULL_RUN = {
     (0, "percentile"): (942, 1000),  # [0.9257, 0.9557]
     (0, "bca"): (937, 1000),  # [0.9201, 0.9513]
+    (0, "bca-jackknife"): (935, 1000),  # [0.9179, 0.9495]
     (2, "percentile"): (946, 1000),  # [0.9301, 0.9592]
     (2, "bca"): (944, 1000),  # [0.9279, 0.9574]
+    (2, "bca-jackknife"): (944, 1000),  # [0.9279, 0.9574]
 }
 
 
@@ -70,11 +75,12 @@ def coverage_hits(replicates) -> dict[tuple[int, str], int]:
         x = rng.normal(size=(3, N_ROWS))
         y = x[0] + 0.5 * x[1] + rng.normal(size=N_ROWS)
         data = Dataset(("x0", "x1", "x2"), x, (FeatureKind.CONTINUOUS,) * 3, y)
-        cfg = BootstrapConfig(n_draws=N_DRAWS, alpha=ALPHA, seed=r, bca="zero")
+        cfg = BootstrapConfig(n_draws=N_DRAWS, alpha=ALPHA, seed=r, bca="jackknife")
         for k in FEATURES:
             result = paired_bootstrap(ENSEMBLE, k, data, LossKind.SQUARED_ERROR, cfg)
+            zero = bca_interval(result.draws, result.point_estimate, ALPHA)[:2]
             psi = population_subsage(k)
-            for kind, (lo, hi) in zip(KINDS, (result.percentile, result.bca)):
+            for kind, (lo, hi) in zip(KINDS, (result.percentile, zero, result.bca)):
                 hits[k, kind] += lo <= psi <= hi
     return hits
 
@@ -104,5 +110,5 @@ if __name__ == "__main__":
     total = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
     for (k, kind), count in coverage_hits(range(total)).items():
         lo, hi = clopper_pearson(count, total)
-        print(f"x{k} {kind:>10}: {count}/{total} = {count / total:.4f}, "
+        print(f"x{k} {kind:>13}: {count}/{total} = {count / total:.4f}, "
               f"95% Clopper-Pearson [{lo:.4f}, {hi:.4f}], population {population_subsage(k):.7g}")

@@ -353,7 +353,10 @@ class WholeMatrixEngine(RowKernel, SubSageEngine):
             self._ids = row_ids(self)
 
 
-# At this many rows a block of the counting pass holds BLOCK code rows.
+# At this many rows a block of the gap pass (``_code_blocks``) holds BLOCK
+# code rows, so values of s around BLOCK straddle its blocks. The counting
+# pass's blocks hold half as many, 2 * WIDE values to a code row; those
+# blocks are straddled by ``test_cell_sums_equal_two_bincounts``.
 WIDE = 9001
 BLOCK = _BLOCK_FLOATS // WIDE
 
@@ -434,13 +437,13 @@ def test_blocks_cover_rows():
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_draws_are_bitwise_equal_under_block_sizes(data):
-    """Each cell's sums come from the one block holding its code row, each
-    subset's gaps from one sum over its cells, and the rest rows add in
-    order across blocks, so the block size changes no bit: the default (one
-    block here), one that leaves a lone code row in the last block, one that
-    gives each code row its own block, and blocks of two rows, whose rest
-    rows carry their running sum. Bootstrap, jackknife and fractional
-    weights under both losses, with a rest space per tree of tau_k."""
+    """Each cell's sums come from the one block holding its code row and
+    each subset's gaps from one sum over its cells, while the rest rows add
+    one at a time in order, so the block size changes no bit: the default
+    (one block here), one that leaves a lone code row in the last block, one
+    that gives each code row its own block, and blocks of two rows.
+    Bootstrap, jackknife and fractional weights under both losses, with a
+    rest space per tree of tau_k."""
     s = data.draw(st.integers(2, 8))
     ens, test, k, loss = data.draw(block_cases(s))
     n = test.n_rows
